@@ -311,10 +311,11 @@ BENCHMARK(BM_SampleRowsNeural_Cached)
 // hit's key-pack-and-probe costs about what the batch engine's group-key
 // work does, so the cached configurations are cost-equivalent at every
 // batch size (BM_SampleRows_Cached covers them) — the batched engine's
-// win is exactly the regime the cache cannot memoize. Arg(1) is the
-// per-row baseline the bench_compare.py --fail-batch-speedup-below gate
-// divides by, and the synth.batch.model_evals_saved counter proves the
-// win comes from grouped evaluation. rows/sec lands in items_per_second.
+// win is exactly the regime the cache cannot memoize. Arg(1), one lane
+// per chunk, is the baseline the bench_compare.py
+// --fail-batch-speedup-below gate divides by, and the
+// synth.batch.model_evals_saved counter proves the win comes from grouped
+// evaluation. rows/sec lands in items_per_second.
 void BM_SampleRowsBatched(benchmark::State& state) {
   Table train = CategoricalTable();
   GreatSynthesizer::Options options;

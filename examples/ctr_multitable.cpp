@@ -7,9 +7,9 @@
 // Pass --metrics-out=FILE (or --metrics-out FILE) to dump the full
 // observability snapshot — pipeline/stage spans, sampler counters, latency
 // histograms — as JSON after the three setups have run. Pass
-// --batch-rows=N to sample through the lockstep batched decode engine
-// (N lanes per chunk; output is bitwise-identical to the default per-row
-// decoder, see DESIGN.md "Batched columnar decode").
+// --batch-rows=N to decode N lanes per lockstep chunk instead of the
+// default one (output is bitwise-identical at every N, see DESIGN.md
+// "Batched columnar decode").
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +33,7 @@ void RunSetup(const char* label, FusionMethod fusion, size_t batch_rows,
   options.semantic = SemanticMode::kUnderstandability;
   options.synth.encoder.permutations_per_row = 2;
   options.synth.max_training_sequences = 700;
-  options.batch_rows = batch_rows;
+  if (batch_rows > 0) options.synth.batch_rows = batch_rows;
   MultiTablePipeline pipeline(options);
 
   Rng rng(7);

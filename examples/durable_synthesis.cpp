@@ -3,10 +3,10 @@
 // the bitwise-identical sample stream; then run the multi-table pipeline
 // twice against a checkpoint directory to demonstrate stage-level resume,
 // and finally sample through the RecoverySupervisor while faults fire.
-// Pass --batch-rows=N to route every sampling call through the lockstep
-// batched decode engine — all three demonstrations (reload identity,
-// checkpoint resume, supervised recovery) hold unchanged because batched
-// output is bitwise-identical to per-row output.
+// Pass --batch-rows=N to decode N lanes per lockstep chunk — all three
+// demonstrations (reload identity, checkpoint resume, supervised
+// recovery) hold unchanged because output is bitwise-identical at every
+// chunk size.
 
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   std::printf("== pipeline checkpointing ==\n");
   PipelineOptions pipeline_options;
   pipeline_options.synth.encoder.permutations_per_row = 2;
-  pipeline_options.batch_rows = batch_rows;
+  pipeline_options.synth.batch_rows = batch_rows;
   pipeline_options.checkpoint_dir = (work / "ckpt").string();
   MultiTablePipeline pipeline(pipeline_options);
 

@@ -32,7 +32,7 @@ namespace greater {
 /// Registered points in this repo (see DESIGN.md "Failure model"):
 ///   "csv.read"          ReadCsvString entry
 ///   "lm.fit"            GreatSynthesizer::Fit, before the LM trains
-///   "synth.sample_row"  GreatSynthesizer::SampleRow, once per row
+///   "synth.sample_row"  BatchDecodeEngine::StartLane, once per row
 ///   "pipeline.flatten"  DirectFlatten entry
 ///   "pipeline.reduce"   RemoveAndReduce entry
 ///   "ckpt.write"        AtomicWriteFile, before any filesystem mutation

@@ -525,7 +525,6 @@ Result<PipelineResult> MultiTablePipeline::Run(
     w.PutF64(options_.contextual_min_consistency);
     GreatSynthesizer::AppendOptionsTo(options_.synth, &w);
     w.PutU64(options_.num_threads);
-    w.PutU64(options_.batch_rows);
     w.PutBool(options_.decode_cache.enabled);
     w.PutU64(options_.decode_cache.capacity);
     w.PutU8(static_cast<uint8_t>(options_.decode_cache.mode));
@@ -723,9 +722,6 @@ Result<PipelineResult> MultiTablePipeline::Run(
     if (options_.num_threads > 0) {
       synth->num_threads = options_.num_threads;
       synth->neural.num_threads = options_.num_threads;
-    }
-    if (options_.batch_rows > 0) {
-      synth->batch_rows = options_.batch_rows;
     }
   }
 

@@ -61,19 +61,15 @@ struct PipelineOptions {
   /// SamplePolicy::kStrict fails the run on the first exhausted row (with
   /// a stage/table provenance chain on the Status); kLenient keeps every
   /// row that succeeded and accounts for the rest in
-  /// PipelineResult::sample_report.
+  /// PipelineResult::sample_report. Its `batch_rows` sets the lockstep
+  /// decode chunk of both models; output is bitwise-identical at every
+  /// value (see DESIGN.md, "Batched columnar decode").
   GreatSynthesizer::Options synth;
   /// Worker-thread override applied to every synthesizer the run builds:
   /// 0 leaves `synth` untouched; >= 1 overrides both the sampling workers
   /// and the neural backbone's training threads. Output stays
   /// deterministic for a fixed (seed, num_threads) pair.
   size_t num_threads = 0;
-  /// Lockstep decode-batch override applied to every synthesizer the run
-  /// builds: 0 leaves `synth` untouched; >= 1 overrides
-  /// GreatSynthesizer::Options::batch_rows. Output is bitwise-identical
-  /// at every batch_rows value (see DESIGN.md, "Batched columnar
-  /// decode"), so this is purely a throughput knob.
-  size_t batch_rows = 0;
   /// Decode-time distribution cache applied to every synthesizer the run
   /// builds (parent and child). Defaults to enabled in kExactReplay mode,
   /// which is bitwise-identical to running without a cache.

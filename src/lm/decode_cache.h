@@ -123,7 +123,7 @@ class HiddenStateCache {
 /// Reusable per-sampler decode buffers: one allocation set per worker
 /// instead of one per scored or sampled token. Threaded through
 /// LanguageModel::SampleNext / NextTokenWeightsRestricted / TokenLogProb
-/// and owned by GreatSynthesizer::SamplerWorkspace.
+/// and, for sampling, owned by each BatchDecodeEngine.
 struct DecodeWorkspace {
   std::vector<double> weights;   ///< candidate-weight scratch
   std::vector<double> probs;     ///< full-vocabulary scratch

@@ -843,20 +843,12 @@ void SynthesisServer::RunBundle(
   const GreatSynthesizer& model = *bundle->model;
   WorkerSpace& ws = (*spaces)[bundle->generation];
   if (ws.engine == nullptr) {
-    // The serving twin of GreatSynthesizer::InitWorkspace: a private
-    // engine and decode cache per (worker, bundle generation), kept warm
-    // across batches exactly like the serial workspace across Sample
-    // calls. The space pins the model so an eviction cannot free it under
-    // the engine.
+    // A private engine (and with it a private decode cache) per (worker,
+    // bundle generation), kept warm across batches exactly like the
+    // synthesizer's serial engine across Sample calls. The space pins the
+    // model so an eviction cannot free it under the engine.
     ws.model = bundle->model;
     ws.engine = std::make_unique<BatchDecodeEngine>(model);
-    const DecodeCacheOptions& cache_options = model.options().decode_cache;
-    if (cache_options.enabled) {
-      ws.cache = std::make_unique<DecodeCache>(cache_options);
-    }
-    ws.decode.hidden_cache.set_capacity(
-        cache_options.cache_hidden_states ? cache_options.hidden_capacity
-                                          : 0);
   }
 
   // One LaneRequest per row, each tagged with its slice's report: lanes of
@@ -886,8 +878,7 @@ void SynthesisServer::RunBundle(
   rows.reserve(lanes.size());
   {
     Span span("serve.batch");
-    ws.engine->RunLanes(lanes.data(), lanes.size(), ws.cache.get(),
-                        &ws.decode, span.id(), &rows);
+    ws.engine->RunLanes(lanes.data(), lanes.size(), span.id(), &rows);
   }
 
   size_t offset = 0;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "lm/decode_cache.h"
 #include "stream/bounded_queue.h"
 #include "stream/stream_runtime.h"
 #include "synth/batch_decode.h"
@@ -362,16 +361,14 @@ class SynthesisServer {
     std::vector<Slice> slices;
     size_t lanes = 0;
   };
-  /// Per-(worker, bundle-generation) decode state — the serving twin of
-  /// GreatSynthesizer's SamplerWorkspace: private cache and engine, never
-  /// shared across workers, so the parallel determinism contract holds.
-  /// Keyed by generation (not model address) so a reload after eviction
-  /// can never alias a stale space through address reuse; holds the model
-  /// alive for the engine's lifetime.
+  /// Per-(worker, bundle-generation) decode state: a private engine, which
+  /// owns the worker's decode cache, never shared across workers, so the
+  /// parallel determinism contract holds. Keyed by generation (not model
+  /// address) so a reload after eviction can never alias a stale space
+  /// through address reuse; holds the model alive for the engine's
+  /// lifetime.
   struct WorkerSpace {
     std::shared_ptr<const GreatSynthesizer> model;
-    std::unique_ptr<DecodeCache> cache;
-    DecodeWorkspace decode;
     std::unique_ptr<BatchDecodeEngine> engine;
   };
 

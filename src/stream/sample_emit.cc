@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -114,19 +113,9 @@ Result<SampleReport> SampleRowsToCsvStreaming(
     base = GreatSynthesizer::DeriveSampleBase(&seed_rng);
   }
 
-  // External decode workspace, the serving layer's per-worker idiom: one
-  // engine, an optional private decode cache, hidden-state capacity from
-  // the model's cache options.
+  // One engine for the whole emission; it builds its private decode cache
+  // from the model's options and keeps it warm across chunks.
   BatchDecodeEngine engine(model);
-  std::unique_ptr<DecodeCache> cache;
-  const DecodeCacheOptions& cache_options = model.options().decode_cache;
-  if (cache_options.enabled) {
-    cache = std::make_unique<DecodeCache>(cache_options);
-  }
-  DecodeWorkspace decode;
-  decode.hidden_cache.set_capacity(cache_options.cache_hidden_states
-                                       ? cache_options.hidden_capacity
-                                       : 0);
 
   // The file is rewritten from scratch on every run: a partial file left
   // by a killed run is overwritten, and completed chunks replay from the
@@ -186,8 +175,8 @@ Result<SampleReport> SampleRowsToCsvStreaming(
     if (!replayed) {
       GREATER_FAULT_POINT("stream.emit_chunk");
       rows.clear();
-      engine.RunChunk(begin, end, /*conditions=*/nullptr, base, cache.get(),
-                      &decode, &chunk_report, span.id(), &rows);
+      engine.RunChunk(begin, end, /*conditions=*/nullptr, base,
+                      &chunk_report, span.id(), &rows);
       builder.Reserve(end - begin);
       for (size_t i = 0; i < rows.size(); ++i) {
         Result<Row>& row = rows[i];

@@ -93,7 +93,11 @@ Status StreamRuntime::Finish() {
   for (std::thread& t : workers) {
     if (t.joinable()) t.join();
   }
-  watchdog_stop_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    watchdog_stop_ = true;
+  }
+  watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   std::lock_guard<std::mutex> lock(mu_);
   return error_;
@@ -101,13 +105,18 @@ Status StreamRuntime::Finish() {
 
 void StreamRuntime::WatchdogLoop() {
   const uint64_t timeout_ns = watchdog_timeout_ms_ * 1000000ull;
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(watchdog_poll_ms_));
-    uint64_t now = Heartbeat::NowNs();
+  for (;;) {
     std::string stalled;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
+      // Sleep one poll interval, or until Finish says stop.
+      if (watchdog_cv_.wait_for(lock,
+                                std::chrono::milliseconds(watchdog_poll_ms_),
+                                [this] { return watchdog_stop_; })) {
+        return;
+      }
       if (failed_) return;  // first error already decided; nothing to add
+      uint64_t now = Heartbeat::NowNs();
       for (const auto& hb : heartbeats_) {
         if (hb->done()) continue;
         uint64_t last = hb->last_beat_ns();

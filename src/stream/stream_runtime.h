@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -112,7 +113,10 @@ class StreamRuntime {
   std::vector<std::thread> workers_;
   bool finished_ = false;
 
-  std::atomic<bool> watchdog_stop_{false};
+  /// Set by Finish under mu_; the watchdog waits on watchdog_cv_ between
+  /// heartbeat sweeps, so Finish never waits out a poll interval.
+  bool watchdog_stop_ = false;
+  std::condition_variable watchdog_cv_;
   std::thread watchdog_;
 };
 

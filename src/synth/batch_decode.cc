@@ -14,7 +14,8 @@ namespace greater {
 namespace {
 
 // Batch-engine instrumentation; pointers cached once per process so the
-// lockstep loop pays one relaxed atomic add per flush.
+// lockstep loop pays one relaxed atomic add per flush. Nothing is recorded
+// per step: mean groups per step is group_evals / steps.
 struct BatchCounters {
   Counter* lanes;
   Counter* steps;
@@ -22,7 +23,6 @@ struct BatchCounters {
   Counter* group_evals;
   Counter* model_evals_saved;
   Counter* restricted_evals;
-  Histogram* groups_per_step;
   BatchCounters() {
     MetricsRegistry& registry = MetricsRegistry::Global();
     lanes = &registry.GetCounter("synth.batch.lanes");
@@ -33,9 +33,6 @@ struct BatchCounters {
     // The uncached grouped path evaluates the model directly, so it keeps
     // the per-evaluation counter SampleNext would have bumped.
     restricted_evals = &registry.GetCounter("lm.sample_next_restricted");
-    groups_per_step = &registry.GetHistogram(
-        "synth.batch.groups_per_step",
-        {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   }
 };
 
@@ -47,7 +44,14 @@ const BatchCounters& GetBatchCounters() {
 }  // namespace
 
 BatchDecodeEngine::BatchDecodeEngine(const GreatSynthesizer& synth)
-    : synth_(synth) {}
+    : synth_(synth) {
+  const DecodeCacheOptions& cache_options = synth.options().decode_cache;
+  if (cache_options.enabled) {
+    cache_ = std::make_unique<DecodeCache>(cache_options);
+  }
+  decode_.hidden_cache.set_capacity(
+      cache_options.cache_hidden_states ? cache_options.hidden_capacity : 0);
+}
 
 void BatchDecodeEngine::PrepareLanes() {
   num_lanes_ = lane_specs_.size();
@@ -146,9 +150,9 @@ void BatchDecodeEngine::PrepareLanes() {
 void BatchDecodeEngine::StartLane(size_t lane) {
   const Table* conditions = lane_specs_[lane].conditions;
   ++rep(lane).rows_requested;
-  // Injected per-row failure, accounted exactly like the per-row decoder:
-  // kResourceExhausted counts as a natural exhaustion so lenient callers
-  // degrade gracefully and the report still reconciles.
+  // Injected per-row failure ("synth.sample_row"): kResourceExhausted
+  // counts as a natural exhaustion so lenient callers degrade gracefully
+  // and the report still reconciles.
   if (FaultRegistry::AnyArmed()) {
     Status fault = FaultRegistry::Global().Check("synth.sample_row");
     if (!fault.ok()) {
@@ -256,7 +260,7 @@ void BatchDecodeEngine::FinalizeAttempt(size_t lane) {
             options.fallback_to_constrained) {
           // Last resort: snap the cell to a uniformly drawn observed
           // value, indexing the sorted pool with this lane's own stream —
-          // the same draw the per-row decoder makes.
+          // the same draw the per-row reference decoder makes.
           const auto& pool = synth_.observed_values_[c].sorted;
           const std::string& snapped =
               pool[rng_[lane].Index(pool.size())];
@@ -366,8 +370,8 @@ void BatchDecodeEngine::ApplyToken(size_t lane, TokenId token) {
   ++value_len_[lane];
   if (value_len_[lane] >= GreatSynthesizer::kMaxValueTokens) {
     if (closed_[lane]) {
-      // Last column at the cap: the per-row decoder accepts the value as
-      // closed-by-eos, so the batched engine must as well.
+      // Last column at the cap: the value counts as closed-by-eos, as in
+      // the per-row reference decoder.
       CompleteValue(lane);
     } else {
       ++rep(lane).rejected_mid_row;
@@ -376,7 +380,7 @@ void BatchDecodeEngine::ApplyToken(size_t lane, TokenId token) {
   }
 }
 
-void BatchDecodeEngine::PrepareDraw(size_t lane) {
+void BatchDecodeEngine::SelectAllowList(size_t lane) {
   const TextualEncoder& encoder = *synth_.encoder_;
   if (state_[lane] == LaneState::kName) {
     if (num_columns_ <= 64) {
@@ -414,7 +418,7 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
       allow_id_[lane] = entry->id;
     } else {
       // Wide-schema fallback (memo masks cap at 64 columns): lane-local
-      // remaining-name list, interned per draw as the per-row path does.
+      // remaining-name list, interned per draw.
       std::vector<TokenId>& names = lane_names_[lane];
       names.clear();
       const auto& columns = encoder.columns();
@@ -442,6 +446,10 @@ void BatchDecodeEngine::PrepareDraw(size_t lane) {
       allow_id_[lane] = grammar.with_comma_id;
     }
   }
+}
+
+void BatchDecodeEngine::PrepareDraw(size_t lane) {
+  SelectAllowList(lane);
 
   // Sort key: a mixed hash of the context window (exactly the suffix the
   // model conditions on, bos-padded like DecodeCache::PackContext) and a
@@ -502,29 +510,32 @@ void BatchDecodeEngine::CopyContext(size_t lane) {
   ctx_scratch_.assign(ctx, ctx + ctx_len_[lane]);
 }
 
-void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
-  const size_t rep = order_[first];
+TokenId BatchDecodeEngine::DrawAlone(size_t lane) {
   const LanguageModel& lm = *synth_.lm_;
   const double temperature = synth_.options_.temperature;
-  CopyContext(rep);
+  CopyContext(lane);
+  if (cache_ != nullptr) {
+    return cache_->SampleRestricted(lm, ctx_scratch_, *allowed_[lane],
+                                    allow_id_[lane], temperature,
+                                    &rng_[lane], &decode_);
+  }
+  return lm.SampleNext(ctx_scratch_, &rng_[lane], temperature,
+                       allowed_[lane], &decode_);
+}
 
+void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
+  const size_t rep = order_[first];
   if (solo_[rep]) {
-    // Singleton group that could not be keyed: the reference per-lane
-    // call, token for token.
+    // Singleton group that could not be keyed: the per-lane draw.
     for (size_t k = first; k < last; ++k) {
-      size_t lane = order_[k];
-      if (k != first) CopyContext(lane);
-      if (cache_ != nullptr) {
-        token_[lane] = cache_->SampleRestricted(
-            lm, ctx_scratch_, *allowed_[lane], allow_id_[lane], temperature,
-            &rng_[lane], decode_);
-      } else {
-        token_[lane] = lm.SampleNext(ctx_scratch_, &rng_[lane], temperature,
-                                     allowed_[lane], decode_);
-      }
+      token_[order_[k]] = DrawAlone(order_[k]);
     }
     return;
   }
+
+  const LanguageModel& lm = *synth_.lm_;
+  const double temperature = synth_.options_.temperature;
+  CopyContext(rep);
 
   if (cache_ != nullptr) {
     // One resolution (lookup-or-compute) serves every lane of the group;
@@ -532,7 +543,7 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
     // bitwise as SampleRestricted would have.
     DecodeCache::ResolvedDist dist = cache_->ResolveRestricted(
         lm, ctx_scratch_, *allowed_[rep], allow_id_[rep], temperature,
-        decode_);
+        &decode_);
     if (dist.cacheable) {
       // Vectorized group draw: gather the group's lane streams, draw them
       // all against the one resolved entry (alias draws become two table
@@ -554,13 +565,9 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
       return;
     }
     // Unreachable by construction (PrepareDraw pre-screens the key), but
-    // degrade to the reference per-lane path rather than asserting.
+    // degrade to per-lane draws rather than asserting.
     for (size_t k = first; k < last; ++k) {
-      size_t lane = order_[k];
-      CopyContext(lane);
-      token_[lane] = cache_->SampleRestricted(
-          lm, ctx_scratch_, *allowed_[lane], allow_id_[lane], temperature,
-          &rng_[lane], decode_);
+      token_[order_[k]] = DrawAlone(order_[k]);
     }
     return;
   }
@@ -572,7 +579,7 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
   // per-lane SampleNext call.
   const std::vector<TokenId>& candidates = *allowed_[rep];
   GetBatchCounters().restricted_evals->Increment();
-  lm.NextTokenWeightsRestricted(ctx_scratch_, candidates, decode_,
+  lm.NextTokenWeightsRestricted(ctx_scratch_, candidates, &decode_,
                                 &weights_);
   ApplyTemperatureShaping(&weights_, temperature);
   cdf_.clear();
@@ -603,6 +610,21 @@ void BatchDecodeEngine::DrawGroup(size_t first, size_t last) {
 }
 
 size_t BatchDecodeEngine::Step() {
+  if (active_ == 1) {
+    // A lone lane is its own group: draw it directly, skipping the key
+    // hash and group formation (the draw is the one a singleton group
+    // makes, so output is unchanged).
+    size_t lane = 0;
+    while (state_[lane] == LaneState::kDone) ++lane;
+    SelectAllowList(lane);
+    TokenId token = DrawAlone(lane);
+    local_stats_.steps += 1;
+    local_stats_.lane_steps += 1;
+    local_stats_.group_evals += 1;
+    ApplyToken(lane, token);
+    return 1;
+  }
+
   // O(active) group formation. Walking lanes in ascending order makes the
   // first lane of each key its group's representative and keeps members
   // lane-ascending after the scatter, so the grouping is deterministic.
@@ -673,7 +695,6 @@ size_t BatchDecodeEngine::Step() {
   local_stats_.lane_steps += order_.size();
   local_stats_.group_evals += groups;
   local_stats_.model_evals_saved += order_.size() - groups;
-  GetBatchCounters().groups_per_step->Observe(static_cast<double>(groups));
 
   // Token application is lane-local, so the grouped draw order above
   // cannot leak between lanes here.
@@ -684,12 +705,9 @@ size_t BatchDecodeEngine::Step() {
 }
 
 void BatchDecodeEngine::RunLanes(const LaneRequest* lanes, size_t count,
-                                 DecodeCache* cache, DecodeWorkspace* decode,
                                  uint64_t parent_span,
                                  std::vector<Result<Row>>* out) {
   if (count == 0) return;
-  cache_ = cache;
-  decode_ = decode;
   lane_specs_.assign(lanes, lanes + count);
   Span span("synth.batch", parent_span);
   const LocalStats before = local_stats_;
@@ -720,13 +738,10 @@ void BatchDecodeEngine::RunLanes(const LaneRequest* lanes, size_t count,
       out->push_back(Result<Row>(std::move(row_scratch_[lane])));
     }
   }
-  cache_ = nullptr;
-  decode_ = nullptr;
 }
 
 void BatchDecodeEngine::RunChunk(size_t begin, size_t end,
                                  const Table* conditions, uint64_t base,
-                                 DecodeCache* cache, DecodeWorkspace* decode,
                                  SampleReport* stats, uint64_t parent_span,
                                  std::vector<Result<Row>>* out) {
   assert(end >= begin);
@@ -737,8 +752,7 @@ void BatchDecodeEngine::RunChunk(size_t begin, size_t end,
     chunk_scratch_.push_back(
         LaneRequest{row, base, conditions, row, stats});
   }
-  RunLanes(chunk_scratch_.data(), chunk_scratch_.size(), cache, decode,
-           parent_span, out);
+  RunLanes(chunk_scratch_.data(), chunk_scratch_.size(), parent_span, out);
 }
 
 }  // namespace greater

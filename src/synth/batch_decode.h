@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,14 +29,19 @@ namespace greater {
 /// across chunks), and cursors / attempt counters / done flags are
 /// parallel vectors indexed by lane. Each lane owns the Rng stream
 /// derived for its global row index (Rng::DeriveStreamSeed(base, row)),
-/// and every draw consumes only that lane's stream, so the batched output
-/// is bitwise-identical to running GreatSynthesizer's per-row reference
-/// decoder over the same row indices — for any chunk size, both LM
-/// backbones, cache on or off, conditional or not.
+/// and every draw consumes only that lane's stream, so a row's bytes do
+/// not depend on the chunk size or on which lanes it shares a chunk with.
+/// This is the only row decoder: Sample, SampleConditional, SampleRow,
+/// chunked CSV emission and the serving layer all run through it. Tests
+/// hold it bitwise-equal to a per-row reference decoder
+/// (tests/per_row_reference.h) at every chunk size, both LM backbones,
+/// cache on or off, conditional or not.
 ///
-/// One engine per sampling worker (it is as thread-compatible as the
-/// DecodeCache it borrows): GreatSynthesizer keeps one in each
-/// SamplerWorkspace when Options::batch_rows > 1.
+/// The engine owns one worker's private decode state: the DecodeCache
+/// (when the model's Options::decode_cache enables it) and the model
+/// scratch buffers, both built from the model's options at construction.
+/// Caches are never shared, so use one engine per sampling worker; it is
+/// thread-compatible, not thread-safe.
 class BatchDecodeEngine {
  public:
   /// Per-run aggregate of the synth.batch.* metrics, kept locally so
@@ -68,24 +74,28 @@ class BatchDecodeEngine {
   };
 
   /// Lockstep-decodes an arbitrary lane set, appending one Result<Row> per
-  /// lane (in lane order) to `out`. `cache` may be null (uncached grouped
-  /// evaluation); `decode` provides the model scratch buffers. Per-lane
-  /// accounting lands in each lane's own report with the same counts, row
-  /// by row, as the reference decoder.
-  void RunLanes(const LaneRequest* lanes, size_t count, DecodeCache* cache,
-                DecodeWorkspace* decode, uint64_t parent_span,
+  /// lane (in lane order) to `out`. Per-lane accounting lands in each
+  /// lane's own report with the same counts, row by row, as the reference
+  /// decoder.
+  void RunLanes(const LaneRequest* lanes, size_t count, uint64_t parent_span,
                 std::vector<Result<Row>>* out);
 
   /// Samples rows [begin, end) of the surrounding Sample/SampleConditional
   /// call in lockstep, appending one Result<Row> per row (in row order) to
   /// `out`. Lane i draws from Rng(Rng::DeriveStreamSeed(base, begin + i)).
-  /// `conditions`, when non-null, forces row i's condition columns exactly
-  /// as the per-row path does. Thin wrapper over RunLanes: one lane per
-  /// row, all lanes sharing the call's base, conditions, and report.
+  /// `conditions`, when non-null, forces row i's condition columns to
+  /// conditions row i. Thin wrapper over RunLanes: one lane per row, all
+  /// lanes sharing the call's base, conditions, and report.
   void RunChunk(size_t begin, size_t end, const Table* conditions,
-                uint64_t base, DecodeCache* cache, DecodeWorkspace* decode,
-                SampleReport* stats, uint64_t parent_span,
+                uint64_t base, SampleReport* stats, uint64_t parent_span,
                 std::vector<Result<Row>>* out);
+
+  /// Whether this engine decodes for `synth`. A synthesizer that was moved
+  /// into inherits an engine bound to its moved-from source and must
+  /// build a new one.
+  bool decodes_for(const GreatSynthesizer& synth) const {
+    return &synth_ == &synth;
+  }
 
   const LocalStats& stats() const { return local_stats_; }
 
@@ -139,9 +149,11 @@ class BatchDecodeEngine {
   void CompleteValue(size_t lane);
 
   // Lockstep draw phase -----------------------------------------------------
-  /// Builds allowed_/allow_id_/hash_ for one active lane; sets solo_ when
-  /// the lane must be drawn per-lane (unpackable window, or an unkeyable
-  /// list under an active cache).
+  /// Sets allowed_/allow_id_ for one active lane's next draw.
+  void SelectAllowList(size_t lane);
+  /// SelectAllowList plus the group key (list_key_/take_/hash_); sets
+  /// solo_ when the lane must be drawn per-lane (unpackable window, or an
+  /// unkeyable list under an active cache).
   void PrepareDraw(size_t lane);
   /// Exact draw-key equality for two prepared lanes: same allow-list
   /// identity and the same context window, read straight from the arena.
@@ -154,6 +166,9 @@ class BatchDecodeEngine {
   size_t Step();
   /// One grouped evaluation + per-lane draws over order_[first, last).
   void DrawGroup(size_t first, size_t last);
+  /// One lane's draw on its own (cache SampleRestricted or the model's
+  /// SampleNext): a singleton group, bitwise as any grouped draw.
+  TokenId DrawAlone(size_t lane);
   void CopyContext(size_t lane);
 
   /// The lane's accounting sink (per-lane since RunLanes: packed lanes may
@@ -162,9 +177,11 @@ class BatchDecodeEngine {
 
   const GreatSynthesizer& synth_;
 
-  // Borrowed for the duration of one RunLanes call.
-  DecodeCache* cache_ = nullptr;
-  DecodeWorkspace* decode_ = nullptr;
+  /// This worker's private decode state: the distribution cache (null when
+  /// the model's options disable it) and the model scratch buffers. Both
+  /// stay warm across RunLanes calls; cache contents never change output.
+  std::unique_ptr<DecodeCache> cache_;
+  DecodeWorkspace decode_;
 
   size_t num_lanes_ = 0;
   size_t active_ = 0;

@@ -92,14 +92,15 @@ class GreatSynthesizer {
     /// pair reproduces itself (see DESIGN.md, "Parallel execution layer").
     size_t num_threads = 1;
     /// Decode-time distribution cache (see DESIGN.md, "Decode cache &
-    /// sampling kernels"). Each worker owns a private cache, so parallel
-    /// determinism is unchanged; the default kExactReplay mode draws the
-    /// same token stream as no cache at all, bit for bit.
+    /// sampling kernels"). Each decode worker's BatchDecodeEngine builds a
+    /// private cache from these options, so parallel determinism is
+    /// unchanged; the default kExactReplay mode draws the same token
+    /// stream as no cache at all, bit for bit.
     DecodeCacheOptions decode_cache;
-    /// Rows decoded in lockstep per batch by the batched decode engine
-    /// (see DESIGN.md, "Batched columnar decode"). 1 = the per-row
-    /// reference path. Larger batches group lanes that share a (context
-    /// window, allow-list, temperature) key so each group costs one model
+    /// Rows decoded in lockstep per chunk by the BatchDecodeEngine (see
+    /// DESIGN.md, "Batched columnar decode"); 0 and 1 both mean one lane
+    /// per chunk. Larger chunks group lanes that share a (context window,
+    /// allow-list, temperature) key so each group costs one model
     /// evaluation per step; every row draws from its own derived Rng
     /// stream, so Sample/SampleConditional output is bitwise-identical at
     /// ANY batch_rows value (and any num_threads).
@@ -165,7 +166,11 @@ class GreatSynthesizer {
       const Table& conditions, SamplePolicy policy, Rng* rng,
       SampleReport* report = nullptr) const;
 
-  /// Samples a single row, optionally with forced column values.
+  /// Samples a single row, optionally with forced column values: one
+  /// decode lane. SampleRow(&rng, &forced) returns the row that
+  /// SampleConditional returns for a one-row table of `forced` (one column
+  /// per entry, typed by its value) from an equal `rng`; with no `forced`,
+  /// row 0 of Sample(1, &rng). A failed row returns its own status.
   Result<Row> SampleRow(Rng* rng,
                         const std::map<std::string, Value>* forced =
                             nullptr) const;
@@ -221,28 +226,12 @@ class GreatSynthesizer {
 
  private:
   friend class BatchDecodeEngine;
+  /// The per-row decoder kept in tests/ as the engine's bitwise oracle.
+  friend class PerRowReferenceDecoder;
 
   /// Hard cap on tokens per generated value; guards against degenerate
-  /// loops when the model keeps emitting value tokens. Shared by the
-  /// per-row reference decoder and the batched engine, which must agree
-  /// on it bit for bit.
+  /// loops when the model keeps emitting value tokens.
   static constexpr size_t kMaxValueTokens = 24;
-
-  /// Reusable per-sampler buffers: one allocation set per worker (or per
-  /// Sample call) instead of one per row attempt. Owns the worker's
-  /// private DecodeCache — caches are never shared across workers, so the
-  /// parallel determinism contract is untouched — and, when batch_rows
-  /// > 1, the worker's lockstep batch engine.
-  struct SamplerWorkspace {
-    std::vector<int> forced_index;
-    std::vector<Value> forced_values;
-    TokenSequence context;
-    std::vector<char> emitted;
-    std::vector<TokenId> allowed_names;
-    DecodeWorkspace decode;
-    std::unique_ptr<DecodeCache> cache;
-    std::unique_ptr<BatchDecodeEngine> batch;
-  };
 
   /// Allow-list variants for one value grammar, interned once at Fit: the
   /// raw observed-token list plus the terminator-admitted copies used from
@@ -257,34 +246,16 @@ class GreatSynthesizer {
     AllowListId with_eos_id = kNoAllowList;
   };
 
-  /// Prepares a sampler workspace: constructs its private DecodeCache when
-  /// enabled (idempotent — an existing cache is kept warm) and sizes the
-  /// neural hidden-state cache.
-  void InitWorkspace(SamplerWorkspace* ws) const;
-
-  /// One constrained draw, routed through the workspace's DecodeCache when
-  /// present (kExactReplay keeps the token stream bitwise-identical to the
-  /// direct SampleNext call).
-  TokenId SampleToken(const TokenSequence& context,
-                      const std::vector<TokenId>& allowed,
-                      AllowListId allow_id, Rng* rng,
-                      SamplerWorkspace* ws) const;
-
-  /// SampleRow body. Assumes fitted; accumulates diagnostics into `stats`
-  /// (never the shared `stats_` directly, so parallel workers can pass
-  /// private reports). `parent_span_id` is the observability span this
-  /// row's "synth.row" span nests under — pool workers cannot see the
-  /// caller's thread-local span stack, so the parent travels explicitly.
-  Result<Row> SampleRowImpl(Rng* rng,
-                            const std::map<std::string, Value>* forced,
-                            SamplerWorkspace* ws, SampleReport* stats,
-                            uint64_t parent_span_id) const;
+  /// The serial-path engine, built on first use. Also rebuilt when the
+  /// held engine decodes for another synthesizer: a move carries the
+  /// engine along, still bound to the moved-from object.
+  BatchDecodeEngine& SerialEngine() const;
 
   /// Shared core of Sample / SampleConditional / SampleRows. `conditions`
   /// null -> unconditional; row i otherwise forces conditions row i.
-  /// Serial (drawing from `rng` directly) unless `pool` has > 1 worker
-  /// and n > 1. `policy` is the effective degradation policy for this
-  /// call (usually options_.policy; the supervisor may override).
+  /// Serial (one engine, chunk by chunk) unless `pool` has > 1 worker and
+  /// n > 1. `policy` is the effective degradation policy for this call
+  /// (usually options_.policy; the supervisor may override).
   Result<Table> SampleMany(size_t n, const Table* conditions, Rng* rng,
                            ThreadPool* pool, SampleReport* report,
                            SamplePolicy policy) const;
@@ -323,13 +294,13 @@ class GreatSynthesizer {
   /// into the encoder's AllowListInterner at Fit.
   std::vector<ValueGrammar> column_grammars_;
   ValueGrammar free_grammar_;
-  /// Serial-path workspace, persistent across Sample* calls so the decode
+  /// Serial-path engine, persistent across Sample* calls so its decode
   /// cache stays warm between them (a repeated SampleConditional over many
   /// parents reuses one cache). Cache contents never influence output in
   /// either mode, so reuse cannot perturb determinism. Parallel workers
-  /// get fresh private workspaces per call instead — like stats_, this
+  /// get fresh private engines per call instead — like stats_, this
   /// member makes concurrent Sample* calls on one synthesizer unsupported.
-  mutable SamplerWorkspace serial_ws_;
+  mutable std::unique_ptr<BatchDecodeEngine> serial_engine_;
   mutable SampleReport stats_;
 };
 

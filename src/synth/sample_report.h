@@ -25,7 +25,8 @@ const char* SamplePolicyToString(SamplePolicy policy);
 /// and child models. Row counts reconcile: every requested row is either
 /// emitted or exhausted.
 struct SampleReport {
-  /// Rows asked of SampleRow (directly or via Sample/SampleConditional).
+  /// Rows asked for: one per decode lane (SampleRow, or each row of
+  /// Sample/SampleConditional).
   size_t rows_requested = 0;
   /// Rows that decoded and validated successfully.
   size_t rows_emitted = 0;

@@ -17,6 +17,8 @@ bool CellMatchesType(const Value& cell, ValueType type) {
       return cell.is_double();
     case ValueType::kString:
       return cell.is_string();
+    case ValueType::kNull:
+      return false;  // a null-typed column holds only nulls
   }
   return false;
 }

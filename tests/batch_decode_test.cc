@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "per_row_reference.h"
 #include "synth/batch_decode.h"
 #include "synth/great_synthesizer.h"
 #include "synth/sample_report.h"
@@ -27,10 +29,16 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line so the compiler cannot pair an inlined free() with the
+// operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace greater {
 namespace {
@@ -81,16 +89,17 @@ GreatSynthesizer::Options TinyNeuralOptions() {
   return options;
 }
 
-// ---------- Bitwise equivalence: batched vs per-row reference ----------
+// ---------- Bitwise equivalence: engine vs per-row reference ----------
 
 TEST(BatchDecodeTest, BatchedEqualsSerialAtEveryBatchSizeNGram) {
   Table train = SmallTable();
   GreatSynthesizer::Options serial_options;
   GreatSynthesizer serial = FitWith(serial_options, train, 7);
   Rng r_serial(11);
-  Table reference = serial.Sample(30, &r_serial).ValueOrDie();
+  Table reference =
+      PerRowReferenceDecoder(serial).Sample(30, &r_serial).ValueOrDie();
 
-  for (size_t batch : {2u, 3u, 8u, 64u}) {
+  for (size_t batch : {1u, 2u, 3u, 8u, 64u}) {
     GreatSynthesizer::Options options;
     options.batch_rows = batch;
     GreatSynthesizer batched = FitWith(options, train, 7);
@@ -111,14 +120,17 @@ TEST(BatchDecodeTest, BatchedEqualsSerialAtEveryBatchSizeNGram) {
 TEST(BatchDecodeTest, BatchedEqualsSerialNeuralBackbone) {
   Table train = SmallTable();
   GreatSynthesizer serial = FitWith(TinyNeuralOptions(), train, 7);
-  GreatSynthesizer::Options options = TinyNeuralOptions();
-  options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(options, train, 7);
-
-  Rng r1(13), r2(13);
-  Table t_serial = serial.Sample(12, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(12, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
+  Rng r1(13);
+  Table t_serial = PerRowReferenceDecoder(serial).Sample(12, &r1).ValueOrDie();
+  for (size_t batch : {1u, 8u}) {
+    GreatSynthesizer::Options options = TinyNeuralOptions();
+    options.batch_rows = batch;
+    GreatSynthesizer batched = FitWith(options, train, 7);
+    Rng r2(13);
+    Table t_batched = batched.Sample(12, &r2).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    ExpectTablesEqual(t_serial, t_batched);
+  }
 }
 
 TEST(BatchDecodeTest, BatchedEqualsSerialWithCacheDisabled) {
@@ -128,23 +140,24 @@ TEST(BatchDecodeTest, BatchedEqualsSerialWithCacheDisabled) {
   GreatSynthesizer::Options off;
   off.decode_cache.enabled = false;
   GreatSynthesizer serial = FitWith(off, train, 7);
-  GreatSynthesizer::Options batched_off = off;
-  batched_off.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(batched_off, train, 7);
-
-  Rng r1(17), r2(17);
-  Table t_serial = serial.Sample(24, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(24, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
-  EXPECT_EQ(r1.Uniform(), r2.Uniform());
+  Rng r1(17);
+  Table t_serial = PerRowReferenceDecoder(serial).Sample(24, &r1).ValueOrDie();
+  const double next_serial = r1.Uniform();
+  for (size_t batch : {1u, 8u}) {
+    GreatSynthesizer::Options batched_off = off;
+    batched_off.batch_rows = batch;
+    GreatSynthesizer batched = FitWith(batched_off, train, 7);
+    Rng r2(17);
+    Table t_batched = batched.Sample(24, &r2).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    ExpectTablesEqual(t_serial, t_batched);
+    EXPECT_EQ(next_serial, r2.Uniform());
+  }
 }
 
 TEST(BatchDecodeTest, BatchedConditionalEqualsSerial) {
   Table train = SmallTable();
   GreatSynthesizer serial = FitWith(GreatSynthesizer::Options(), train, 7);
-  GreatSynthesizer::Options options;
-  options.batch_rows = 4;
-  GreatSynthesizer batched = FitWith(options, train, 7);
 
   Schema cond_schema({Field("name", ValueType::kString)});
   Table conditions(cond_schema);
@@ -153,12 +166,21 @@ TEST(BatchDecodeTest, BatchedConditionalEqualsSerial) {
     ASSERT_TRUE(conditions.AppendRow({Value(names[i % 4])}).ok());
   }
 
-  Rng r1(23), r2(23);
-  Table t_serial = serial.SampleConditional(conditions, &r1).ValueOrDie();
-  Table t_batched = batched.SampleConditional(conditions, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
-  for (size_t r = 0; r < t_batched.num_rows(); ++r) {
-    EXPECT_EQ(t_batched.at(r, 0).ToDisplayString(), names[r % 4]);
+  Rng r1(23);
+  Table t_serial = PerRowReferenceDecoder(serial)
+                       .SampleConditional(conditions, &r1)
+                       .ValueOrDie();
+  for (size_t batch : {1u, 4u}) {
+    GreatSynthesizer::Options options;
+    options.batch_rows = batch;
+    GreatSynthesizer batched = FitWith(options, train, 7);
+    Rng r2(23);
+    Table t_batched = batched.SampleConditional(conditions, &r2).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    ExpectTablesEqual(t_serial, t_batched);
+    for (size_t r = 0; r < t_batched.num_rows(); ++r) {
+      EXPECT_EQ(t_batched.at(r, 0).ToDisplayString(), names[r % 4]);
+    }
   }
 }
 
@@ -173,39 +195,49 @@ TEST(BatchDecodeTest, BatchedEqualsSerialFreeValueLenientMode) {
   options.max_attempts_per_row = 3;
   options.policy = SamplePolicy::kLenient;
   GreatSynthesizer serial = FitWith(options, train, 7);
-  GreatSynthesizer::Options batched_options = options;
-  batched_options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(batched_options, train, 7);
-
-  Rng r1(29), r2(29);
-  SampleReport report_serial, report_batched;
-  Table t_serial = serial.Sample(20, &r1, &report_serial).ValueOrDie();
-  Table t_batched = batched.Sample(20, &r2, &report_batched).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
+  Rng r1(29);
+  SampleReport report_serial;
+  Table t_serial = PerRowReferenceDecoder(serial)
+                       .Sample(20, &r1, &report_serial)
+                       .ValueOrDie();
   EXPECT_TRUE(report_serial.Reconciles());
-  EXPECT_TRUE(report_batched.Reconciles());
-  EXPECT_EQ(report_serial.rows_emitted, report_batched.rows_emitted);
-  EXPECT_EQ(report_serial.attempts, report_batched.attempts);
-  EXPECT_EQ(report_serial.snapped_cells, report_batched.snapped_cells);
-  EXPECT_EQ(report_serial.fallback_grammar_uses,
-            report_batched.fallback_grammar_uses);
+  for (size_t batch : {1u, 8u}) {
+    GreatSynthesizer::Options batched_options = options;
+    batched_options.batch_rows = batch;
+    GreatSynthesizer batched = FitWith(batched_options, train, 7);
+    Rng r2(29);
+    SampleReport report_batched;
+    Table t_batched = batched.Sample(20, &r2, &report_batched).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    ExpectTablesEqual(t_serial, t_batched);
+    EXPECT_TRUE(report_batched.Reconciles());
+    EXPECT_EQ(report_serial.rows_emitted, report_batched.rows_emitted);
+    EXPECT_EQ(report_serial.attempts, report_batched.attempts);
+    EXPECT_EQ(report_serial.snapped_cells, report_batched.snapped_cells);
+    EXPECT_EQ(report_serial.fallback_grammar_uses,
+              report_batched.fallback_grammar_uses);
+  }
 }
 
 TEST(BatchDecodeTest, BatchedParallelEqualsSerialPerRow) {
   Table train = SmallTable();
   GreatSynthesizer serial = FitWith(GreatSynthesizer::Options(), train, 7);
-  GreatSynthesizer::Options options;
-  options.num_threads = 4;
-  options.batch_rows = 8;
-  GreatSynthesizer batched = FitWith(options, train, 7);
+  Rng r1(31);
+  Table t_serial = PerRowReferenceDecoder(serial).Sample(40, &r1).ValueOrDie();
 
   // Rows own their derived streams, so output is invariant to the whole
-  // scheduling cross-product: 1 thread x per-row must equal 4 threads x
-  // lockstep batches.
-  Rng r1(31), r2(31);
-  Table t_serial = serial.Sample(40, &r1).ValueOrDie();
-  Table t_batched = batched.Sample(40, &r2).ValueOrDie();
-  ExpectTablesEqual(t_serial, t_batched);
+  // scheduling cross-product: the serial per-row reference must equal 4
+  // threads x lockstep chunks of any size.
+  for (size_t batch : {1u, 8u}) {
+    GreatSynthesizer::Options options;
+    options.num_threads = 4;
+    options.batch_rows = batch;
+    GreatSynthesizer batched = FitWith(options, train, 7);
+    Rng r2(31);
+    Table t_batched = batched.Sample(40, &r2).ValueOrDie();
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    ExpectTablesEqual(t_serial, t_batched);
+  }
 }
 
 TEST(BatchDecodeTest, SampleRowsPoolEqualsSampleAtAnyBatch) {
@@ -219,6 +251,74 @@ TEST(BatchDecodeTest, SampleRowsPoolEqualsSampleAtAnyBatch) {
   Table via_pool = synth.SampleRows(25, &r1, &pool).ValueOrDie();
   Table via_sample = synth.Sample(25, &r2).ValueOrDie();
   ExpectTablesEqual(via_pool, via_sample);
+}
+
+// ---------- SampleRow is one engine lane ----------
+
+TEST(BatchDecodeTest, SampleRowIsOneLaneOfSampleConditional) {
+  Table train = SmallTable();
+  GreatSynthesizer synth = FitWith(GreatSynthesizer::Options(), train, 7);
+
+  // Forced: the row SampleConditional returns for a one-row table of the
+  // forced values, from an equal generator — which then advanced equally.
+  std::map<std::string, Value> forced = {{"lunch", Value(int64_t{2})},
+                                         {"name", Value("Yin")}};
+  Table conditions(Schema({Field("lunch", ValueType::kInt),
+                           Field("name", ValueType::kString)}));
+  ASSERT_TRUE(conditions.AppendRow({Value(int64_t{2}), Value("Yin")}).ok());
+  for (uint64_t seed : {43u, 44u, 45u}) {
+    Rng r_row(seed), r_table(seed);
+    Row row = synth.SampleRow(&r_row, &forced).ValueOrDie();
+    Table table = synth.SampleConditional(conditions, &r_table).ValueOrDie();
+    ASSERT_EQ(table.num_rows(), 1u);
+    EXPECT_EQ(row, table.GetRow(0)) << "seed " << seed;
+    EXPECT_EQ(r_row.Uniform(), r_table.Uniform());
+  }
+
+  // Unforced: row 0 of Sample(1).
+  for (uint64_t seed : {47u, 48u, 49u}) {
+    Rng r_row(seed), r_table(seed);
+    Row row = synth.SampleRow(&r_row).ValueOrDie();
+    Table table = synth.Sample(1, &r_table).ValueOrDie();
+    ASSERT_EQ(table.num_rows(), 1u);
+    EXPECT_EQ(row, table.GetRow(0)) << "seed " << seed;
+    EXPECT_EQ(r_row.Uniform(), r_table.Uniform());
+  }
+}
+
+// ---------- Moving a synthesizer that has sampled ----------
+
+TEST(BatchDecodeTest, SampleAfterMoveMatchesUnmovedRun) {
+  // The serial engine a Sample call builds is bound to its synthesizer; a
+  // moved-to synthesizer must decode through an engine of its own, and
+  // its output must continue exactly where the unmoved run would.
+  Table train = SmallTable();
+  for (size_t batch : {1u, 8u}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch));
+    GreatSynthesizer::Options options;
+    options.batch_rows = batch;
+
+    GreatSynthesizer unmoved = FitWith(options, train, 7);
+    Rng r_ref(53);
+    ASSERT_TRUE(unmoved.Sample(10, &r_ref).ok());
+    Table expected = unmoved.Sample(10, &r_ref).ValueOrDie();
+
+    GreatSynthesizer source = FitWith(options, train, 7);
+    Rng r_construct(53);
+    ASSERT_TRUE(source.Sample(10, &r_construct).ok());
+    GreatSynthesizer constructed(std::move(source));
+    ExpectTablesEqual(expected,
+                      constructed.Sample(10, &r_construct).ValueOrDie());
+
+    GreatSynthesizer assign_source = FitWith(options, train, 7);
+    Rng r_assign(53);
+    ASSERT_TRUE(assign_source.Sample(10, &r_assign).ok());
+    GreatSynthesizer assigned = FitWith(options, train, 7);
+    Rng r_other(99);
+    ASSERT_TRUE(assigned.Sample(3, &r_other).ok());  // owns an engine too
+    assigned = std::move(assign_source);
+    ExpectTablesEqual(expected, assigned.Sample(10, &r_assign).ValueOrDie());
+  }
 }
 
 // ---------- Options codec ----------
@@ -291,10 +391,9 @@ TEST(BatchDecodeTest, SteadyStateLockstepStepsDoNotAllocate) {
 
   BatchDecodeEngine engine(synth);
   SampleReport report;
-  DecodeWorkspace decode;
   std::vector<Result<Row>> out;
   // Warm chunk: sizes the arena, lane vectors, and draw scratch.
-  engine.RunChunk(0, 8, nullptr, 99, nullptr, &decode, &report, 0, &out);
+  engine.RunChunk(0, 8, nullptr, 99, &report, 0, &out);
 
   // Measured chunk: early lockstep steps (1 through 4) run entirely in
   // pre-sized state — no lane can finalize a row that early, so the only
@@ -308,7 +407,7 @@ TEST(BatchDecodeTest, SteadyStateLockstepStepsDoNotAllocate) {
     if (step == 4) p->at_step4 = g_allocations.load();
   };
   out.clear();
-  engine.RunChunk(8, 16, nullptr, 99, nullptr, &decode, &report, 0, &out);
+  engine.RunChunk(8, 16, nullptr, 99, &report, 0, &out);
   engine.on_step_for_testing = nullptr;
 
   ASSERT_GT(probe.at_step1, 0u);
@@ -328,10 +427,8 @@ TEST(BatchDecodeTest, RunChunkReportMatchesSampleReportContract) {
 
   BatchDecodeEngine engine(synth);
   SampleReport report;
-  DecodeWorkspace decode;
-  DecodeCache cache(options.decode_cache);
   std::vector<Result<Row>> out;
-  engine.RunChunk(0, 12, nullptr, 1234, &cache, &decode, &report, 0, &out);
+  engine.RunChunk(0, 12, nullptr, 1234, &report, 0, &out);
   ASSERT_EQ(out.size(), 12u);
   for (const Result<Row>& row : out) {
     EXPECT_TRUE(row.ok() ||

@@ -305,15 +305,17 @@ TEST_F(ObsPipelineTest, RunEmitsSpanTreeCoveringEveryStage) {
             0.9 * static_cast<double>(run->duration_ns));
   EXPECT_LE(stage_ns, run->duration_ns);
 
-  // Sampler and fit work nests under the owning stage.
-  uint64_t by_name_rows = 0;
+  // Sampling runs as lockstep engine chunks: every requested row was one
+  // engine lane, and the chunks recorded their spans.
+  uint64_t batch_spans = 0;
   for (const SpanRecord& span : snapshot.spans) {
-    if (span.name == "synth.row") ++by_name_rows;
+    if (span.name == "synth.batch") ++batch_spans;
   }
-  EXPECT_GT(by_name_rows, 0u);
+  EXPECT_GT(batch_spans, 0u);
   EXPECT_EQ(registry.GetCounter("pipeline.runs").Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("synth.rows_requested").Value(),
-            by_name_rows);
+  EXPECT_GT(registry.GetCounter("synth.rows_requested").Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("synth.batch.lanes").Value(),
+            registry.GetCounter("synth.rows_requested").Value());
 }
 
 TEST_F(ObsPipelineTest, DeterministicJsonIsByteIdenticalAcrossSeededRuns) {

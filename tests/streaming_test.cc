@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -612,6 +613,21 @@ TEST_F(StreamingTest, HealthyRunPassesTightWatchdog) {
       0u);
 }
 
+TEST_F(StreamingTest, FinishDoesNotWaitOutWatchdogPoll) {
+  // The watchdog sleeps on a condition variable that Finish notifies, so
+  // shutdown never waits out a poll interval.
+  StreamOptions opt = SmallStream();
+  opt.watchdog_poll_ms = 2000;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    StreamRuntime runtime(opt);
+    Heartbeat* heartbeat = runtime.AddHeartbeat("trivial");
+    runtime.Spawn("trivial", heartbeat, [] { return Status::OK(); });
+    ASSERT_TRUE(runtime.Finish().ok());
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
 // ---------- streaming flatten ----------
 
 TEST_F(StreamingTest, StreamingFlattenMatchesDirectFlatten) {
@@ -725,9 +741,9 @@ TEST_F(StreamingTest, RunFromCsvLenientQuarantinesAndCompletes) {
 }
 
 // The streaming ingest entry point drives the lockstep batched decode
-// engine when PipelineOptions::batch_rows is set — and the batched run's
-// output is byte-identical to the per-row one (the engine's determinism
-// contract, DESIGN.md "Batched columnar decode").
+// engine in multi-lane chunks when synth.batch_rows is set — and that run's
+// output is byte-identical to the one-lane-chunk run (the engine's
+// determinism contract, DESIGN.md "Batched columnar decode").
 TEST_F(StreamingTest, RunFromCsvBatchedSamplingIdentical) {
   fs::path dir = ScratchDir("stream_batched");
   Rng gen_rng(13);
@@ -750,7 +766,7 @@ TEST_F(StreamingTest, RunFromCsvBatchedSamplingIdentical) {
   ASSERT_TRUE(per_row.ok()) << per_row.status().ToString();
 
   PipelineOptions batched = base;
-  batched.batch_rows = 5;
+  batched.synth.batch_rows = 5;
   uint64_t lanes_before =
       MetricsRegistry::Global().GetCounter("synth.batch.lanes").Value();
   Rng rng_b(21);
