@@ -435,25 +435,10 @@ void BM_DirectFlatten(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectFlatten);
 
-void BM_StreamingFlatten(benchmark::State& state) {
-  DigixDataset trial = MakeTrial();
-  StreamOptions options;
-  options.enabled = true;
-  options.chunk_rows = 64;
-  options.queue_capacity = 4;
-  options.num_workers = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        DirectFlattenStreaming(trial.ads, trial.feeds, "user_id", options));
-  }
-}
-BENCHMARK(BM_StreamingFlatten)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_StreamingCsvIngest(benchmark::State& state) {
   DigixDataset trial = MakeTrial();
   std::string csv = WriteCsvString(trial.ads);
   StreamOptions options;
-  options.enabled = true;
   options.chunk_rows = 64;
   options.queue_capacity = 4;
   options.io_block_bytes = size_t{1} << 14;
@@ -787,7 +772,6 @@ void BM_StreamingFit(benchmark::State& state) {
     out << WriteCsvString(trial.ads);
   }
   FitStage::Options stage_options;
-  stage_options.stream.enabled = true;
   stage_options.stream.chunk_rows = 64;
   stage_options.stream.queue_capacity = 4;
   stage_options.stream.num_workers = 1;

@@ -31,7 +31,8 @@ namespace greater {
 ///
 /// Registered points in this repo (see DESIGN.md "Failure model"):
 ///   "csv.read"          ReadCsvString entry
-///   "lm.fit"            GreatSynthesizer::Fit, before the LM trains
+///   "lm.fit"            GreatSynthesizer fitting core (Fit and
+///                       FitStreaming), before the first chunk pass
 ///   "synth.sample_row"  BatchDecodeEngine::StartLane, once per row
 ///   "pipeline.flatten"  DirectFlatten entry
 ///   "pipeline.reduce"   RemoveAndReduce entry

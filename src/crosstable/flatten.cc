@@ -1,44 +1,11 @@
 #include "crosstable/flatten.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
-#include "stream/bounded_queue.h"
-#include "stream/stream_runtime.h"
 
 namespace greater {
-
-namespace {
-
-// Output schema shared by both flatten implementations: key, then left
-// features, then right features.
-Result<Schema> FlattenSchema(const Table& left, const Table& right,
-                             size_t left_key, size_t right_key,
-                             std::vector<size_t>* left_features,
-                             std::vector<size_t>* right_features) {
-  std::vector<Field> fields;
-  fields.push_back(left.schema().field(left_key));
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    if (c == left_key) continue;
-    fields.push_back(left.schema().field(c));
-    left_features->push_back(c);
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    if (c == right_key) continue;
-    fields.push_back(right.schema().field(c));
-    right_features->push_back(c);
-  }
-  return Schema::Make(std::move(fields));
-}
-
-}  // namespace
 
 Result<Table> DirectFlatten(const Table& left, const Table& right,
                             const std::string& key_column) {
@@ -48,10 +15,21 @@ Result<Table> DirectFlatten(const Table& left, const Table& right,
   GREATER_ASSIGN_OR_RETURN(size_t right_key,
                            right.schema().FieldIndex(key_column));
 
+  // Output columns: key, then left features, then right features.
+  std::vector<Field> fields;
   std::vector<size_t> left_features, right_features;
-  GREATER_ASSIGN_OR_RETURN(
-      Schema schema, FlattenSchema(left, right, left_key, right_key,
-                                   &left_features, &right_features));
+  fields.push_back(left.schema().field(left_key));
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    if (c == left_key) continue;
+    fields.push_back(left.schema().field(c));
+    left_features.push_back(c);
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    if (c == right_key) continue;
+    fields.push_back(right.schema().field(c));
+    right_features.push_back(c);
+  }
+  GREATER_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
   Table out(std::move(schema));
 
   GREATER_ASSIGN_OR_RETURN(auto left_groups, left.GroupByColumn(key_column));
@@ -70,138 +48,6 @@ Result<Table> DirectFlatten(const Table& left, const Table& right,
         GREATER_RETURN_NOT_OK(out.AppendRow(std::move(row)));
       }
     }
-  }
-  return out;
-}
-
-Result<Table> DirectFlattenStreaming(const Table& left, const Table& right,
-                                     const std::string& key_column,
-                                     const StreamOptions& options) {
-  GREATER_FAULT_POINT("pipeline.flatten");
-  GREATER_ASSIGN_OR_RETURN(size_t left_key,
-                           left.schema().FieldIndex(key_column));
-  GREATER_ASSIGN_OR_RETURN(size_t right_key,
-                           right.schema().FieldIndex(key_column));
-  std::vector<size_t> left_features, right_features;
-  GREATER_ASSIGN_OR_RETURN(
-      Schema schema, FlattenSchema(left, right, left_key, right_key,
-                                   &left_features, &right_features));
-  Table out(schema);
-
-  GREATER_ASSIGN_OR_RETURN(auto left_groups, left.GroupByColumn(key_column));
-  GREATER_ASSIGN_OR_RETURN(auto right_groups,
-                           right.GroupByColumn(key_column));
-
-  // One output row to materialize. Pointers reference the group map and
-  // the input tables, both alive on this (the sink) thread until return.
-  struct Item {
-    const Value* key;
-    size_t lr;
-    size_t rr;
-  };
-  struct WorkChunk {
-    uint64_t seq = 0;
-    std::vector<Item> items;
-  };
-  struct DoneChunk {
-    uint64_t seq = 0;
-    Table fragment;
-  };
-
-  const size_t chunk_rows = std::max<size_t>(1, options.chunk_rows);
-  const size_t num_workers = std::max<size_t>(1, options.num_workers);
-
-  // Queues before the runtime: the runtime's destructor joins workers that
-  // touch the queues until they exit.
-  BoundedQueue<std::unique_ptr<WorkChunk>> work_q("flatten.work",
-                                                  options.queue_capacity);
-  BoundedQueue<std::unique_ptr<DoneChunk>> done_q("flatten.done",
-                                                  options.queue_capacity);
-  StreamRuntime runtime(options);
-  runtime.RegisterQueue(&work_q);
-  runtime.RegisterQueue(&done_q);
-  std::atomic<size_t> live_workers{num_workers};
-
-  // Producer: enumerate triples in exactly DirectFlatten's order (key-
-  // sorted std::map, then left rows, then right rows).
-  Heartbeat* producer_hb = runtime.AddHeartbeat("flatten.producer");
-  runtime.Spawn("flatten.producer", producer_hb, [&, producer_hb]() -> Status {
-    uint64_t seq = 0;
-    auto chunk = std::make_unique<WorkChunk>();
-    auto flush = [&]() {
-      chunk->seq = seq++;
-      bool accepted = work_q.Push(std::move(chunk));
-      chunk = std::make_unique<WorkChunk>();
-      return accepted;
-    };
-    for (const auto& [key, left_rows] : left_groups) {
-      producer_hb->Beat();
-      auto it = right_groups.find(key);
-      if (it == right_groups.end()) continue;
-      for (size_t lr : left_rows) {
-        for (size_t rr : it->second) {
-          chunk->items.push_back(Item{&key, lr, rr});
-          if (chunk->items.size() >= chunk_rows && !flush()) {
-            return Status::OK();  // pipeline shutting down
-          }
-        }
-      }
-    }
-    if (!chunk->items.empty() && !flush()) return Status::OK();
-    work_q.Close();
-    return Status::OK();
-  });
-
-  // Workers: materialize each chunk as a fragment table.
-  for (size_t w = 0; w < num_workers; ++w) {
-    std::string name = "flatten.worker." + std::to_string(w);
-    Heartbeat* hb = runtime.AddHeartbeat(name);
-    runtime.Spawn(name, hb, [&, hb]() -> Status {
-      for (;;) {
-        hb->Beat();
-        std::optional<std::unique_ptr<WorkChunk>> item = work_q.Pop();
-        if (!item.has_value()) break;
-        std::unique_ptr<WorkChunk> work = std::move(*item);
-        auto done = std::make_unique<DoneChunk>();
-        done->seq = work->seq;
-        done->fragment = Table(schema);
-        for (const Item& t : work->items) {
-          Row row;
-          row.reserve(done->fragment.num_columns());
-          row.push_back(*t.key);
-          for (size_t c : left_features) row.push_back(left.at(t.lr, c));
-          for (size_t c : right_features) row.push_back(right.at(t.rr, c));
-          GREATER_RETURN_NOT_OK(done->fragment.AppendRow(std::move(row)));
-        }
-        if (!done_q.Push(std::move(done))) break;
-      }
-      if (live_workers.fetch_sub(1) == 1) done_q.Close();
-      return Status::OK();
-    });
-  }
-
-  // Sink (this thread): reassemble fragments in sequence order.
-  std::map<uint64_t, std::unique_ptr<DoneChunk>> pending;
-  uint64_t next_seq = 0;
-  Status append_error;
-  while (true) {
-    std::optional<std::unique_ptr<DoneChunk>> item = done_q.Pop();
-    if (!item.has_value()) break;
-    pending[(*item)->seq] = std::move(*item);
-    for (auto it = pending.find(next_seq); it != pending.end();
-         it = pending.find(++next_seq)) {
-      if (append_error.ok()) {
-        append_error = out.AppendTable(it->second->fragment);
-      }
-      pending.erase(it);
-    }
-  }
-  GREATER_RETURN_NOT_OK_CTX(runtime.Finish(), "streaming flatten on key '" +
-                                                  key_column + "'");
-  GREATER_RETURN_NOT_OK(append_error);
-  if (!pending.empty()) {
-    return Status::Internal("streaming flatten lost chunk " +
-                            std::to_string(next_seq));
   }
   return out;
 }

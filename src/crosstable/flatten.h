@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "stream/stream_options.h"
 #include "tabular/table.h"
 
 namespace greater {
@@ -25,19 +24,6 @@ Result<Table> DirectFlatten(const Table& left, const Table& right,
 /// Number of rows DirectFlatten would produce, without materializing it.
 Result<size_t> DirectFlattenRowCount(const Table& left, const Table& right,
                                      const std::string& key_column);
-
-/// DirectFlatten on the chunked bounded-queue runtime (src/stream): a
-/// producer enumerates (key, left row, right row) triples in exactly
-/// DirectFlatten's order, workers materialize fragments of
-/// `options.chunk_rows` output rows, and a sequence-number reorder buffer
-/// reassembles them — so the result is identical to DirectFlatten (same
-/// rows, same order, Table::operator==) at any worker count, while no more
-/// than `queue_capacity` chunks of rows wait in any queue (backpressure).
-/// A hung or dead worker fails the run with kDeadlineExceeded via the
-/// watchdog instead of blocking forever.
-Result<Table> DirectFlattenStreaming(const Table& left, const Table& right,
-                                     const std::string& key_column,
-                                     const StreamOptions& options);
 
 }  // namespace greater
 

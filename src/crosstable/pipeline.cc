@@ -125,18 +125,6 @@ std::vector<std::pair<const Table*, std::string>> AmbiguousColumnsAcross(
   return out;
 }
 
-// Flatten dispatch: the streaming implementation produces byte-identical
-// output (same rows, same order), so which one runs is purely an
-// execution-strategy knob — checkpoint chains are unaffected.
-Result<Table> FlattenForOptions(const PipelineOptions& options,
-                                const Table& left, const Table& right,
-                                const std::string& key_column) {
-  if (options.stream.enabled) {
-    return DirectFlattenStreaming(left, right, key_column, options.stream);
-  }
-  return DirectFlatten(left, right, key_column);
-}
-
 // Joins parent features onto a flattened child view by key; output drops
 // the key column (synthetic keys are surrogates with no real counterpart).
 Result<Table> JoinParentFeatures(const Table& parent, const Table& flat,
@@ -469,8 +457,7 @@ Result<Table> MultiTablePipeline::BuildRealFlatView(
       SplitByContextualVariables(child2, key_column,
                                  options_.contextual_min_consistency));
   GREATER_ASSIGN_OR_RETURN(
-      Table flat,
-      FlattenForOptions(options_, split1.child, split2.child, key_column));
+      Table flat, DirectFlatten(split1.child, split2.child, key_column));
   GREATER_ASSIGN_OR_RETURN(
       Table parent, MergeParents(split1.parent, split2.parent, key_column));
   return JoinParentFeatures(parent, flat, key_column);
@@ -771,7 +758,7 @@ Result<PipelineResult> MultiTablePipeline::Run(
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
         Table flat,
-        FlattenForOptions(options_, sample1.child, child2_rows, key_column),
+        DirectFlatten(sample1.child, child2_rows, key_column),
         StageContext("flatten", "child1+child2"));
     GREATER_ASSIGN_OR_RETURN_CTX(
         synthetic_flat, JoinParentFeatures(sample1.parent, flat, key_column),
@@ -790,7 +777,7 @@ Result<PipelineResult> MultiTablePipeline::Run(
     } else {
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
-        Table flat, FlattenForOptions(options_, c1, c2, key_column),
+        Table flat, DirectFlatten(c1, c2, key_column),
         StageContext("flatten", "child1+child2"));
     result.flattened_rows = flat.num_rows();
     MetricsRegistry::Global()

@@ -89,15 +89,13 @@ struct PipelineOptions {
   std::string checkpoint_dir;
   /// Erase the mapping system after synthesis (privacy, Sec. 3.2.3).
   bool erase_mapping_after_run = true;
-  /// Streaming runtime knobs (src/stream). `stream.enabled` moves the
-  /// pipeline's ingest (RunFromCsv) and flatten paths onto the chunked
-  /// bounded-queue runtime: memory stays bounded by queue_capacity ×
+  /// Streaming runtime knobs (src/stream) for RunFromCsv's chunked ingest,
+  /// which always streams: memory stays bounded by queue_capacity ×
   /// chunk_rows rows per queue, malformed input records degrade per the
   /// run policy instead of aborting, and — with `checkpoint_dir` set —
-  /// ingest resumes per chunk after a crash. Output is byte-identical to
-  /// the in-memory paths; stream knobs are deliberately excluded from the
-  /// checkpoint fingerprint so toggling them never invalidates stage
-  /// checkpoints.
+  /// ingest resumes per chunk after a crash. Run and the flatten stage
+  /// never read them. Output does not depend on them, so they are
+  /// deliberately excluded from the checkpoint fingerprint.
   StreamOptions stream;
 };
 

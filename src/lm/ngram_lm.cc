@@ -98,29 +98,48 @@ void NGramLm::FinalizeFromCounts(const CountShard& counts) {
 }
 
 Status NGramLm::Fit(const std::vector<TokenSequence>& sequences) {
-  if (fitted_) {
-    return Status::FailedPrecondition("NGramLm already fitted");
-  }
-  if (sequences.empty()) {
-    return Status::Invalid("NGramLm::Fit requires at least one sequence");
-  }
-  // Count into integer tables first (pre-reserved from a counting pass —
-  // no rehash during growth), then finalize into the double tables with
-  // exact reserves. Bitwise-identical to the historical accumulate-in-
-  // place path; see AddUnitCounts.
-  CountShard shard(options_.order);
-  GREATER_RETURN_NOT_OK(shard.AccumulateChunk(sequences, vocab_size_));
-  FinalizeFromCounts(shard);
-  fitted_ = true;
-  return Status::OK();
+  // The one-chunk case of the shard-counting path: the caller's corpus is
+  // counted in place, never copied.
+  bool pulled = false;
+  return CountShards(1, [&](ChunkWave* wave) {
+    if (!std::exchange(pulled, true) && !sequences.empty()) {
+      wave->push_back(&sequences);
+    }
+    return Status::OK();
+  });
 }
 
 Status NGramLm::FitStreaming(const SequenceChunkIterator& next_chunk,
                              size_t num_shards) {
+  num_shards = std::max<size_t>(1, num_shards);
+  // Buffers up to num_shards non-empty chunks per wave; they stay alive
+  // until the next wave is pulled, after this one is counted.
+  std::vector<std::vector<TokenSequence>> held;
+  bool done = false;
+  return CountShards(num_shards, [&](ChunkWave* wave) -> Status {
+    held.clear();
+    while (!done && held.size() < num_shards) {
+      GREATER_ASSIGN_OR_RETURN(std::optional<std::vector<TokenSequence>> chunk,
+                               next_chunk());
+      if (!chunk.has_value()) {
+        done = true;
+      } else if (!chunk->empty()) {
+        held.push_back(std::move(*chunk));
+      }
+    }
+    for (const std::vector<TokenSequence>& chunk : held) {
+      wave->push_back(&chunk);
+    }
+    return Status::OK();
+  });
+}
+
+Status NGramLm::CountShards(
+    size_t num_shards,
+    const std::function<Status(ChunkWave* wave)>& next_wave) {
   if (fitted_) {
     return Status::FailedPrecondition("NGramLm already fitted");
   }
-  num_shards = std::max<size_t>(1, num_shards);
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics.GetGauge("lm.fit.shards").Set(static_cast<double>(num_shards));
   Counter& chunk_counter = metrics.GetCounter("lm.fit.shard_chunks");
@@ -132,29 +151,18 @@ Status NGramLm::FitStreaming(const SequenceChunkIterator& next_chunk,
   std::unique_ptr<ThreadPool> pool;
   if (num_shards > 1) pool = std::make_unique<ThreadPool>(num_shards);
 
-  // Wave dispatch: buffer up to num_shards chunks, then run wave position
-  // j on shard j (so global chunk i always lands on shard i % num_shards
-  // — a fixed plan independent of scheduling). Peak in-flight data is one
-  // wave of chunks.
+  // Wave position j runs on shard j, so global chunk i always lands on
+  // shard i % num_shards — a fixed plan independent of scheduling.
   uint64_t total_sequences = 0;
-  bool done = false;
-  while (!done) {
-    std::vector<std::vector<TokenSequence>> wave;
-    while (wave.size() < num_shards) {
-      GREATER_ASSIGN_OR_RETURN(std::optional<std::vector<TokenSequence>> chunk,
-                               next_chunk());
-      if (!chunk.has_value()) {
-        done = true;
-        break;
-      }
-      if (chunk->empty()) continue;
-      wave.push_back(std::move(*chunk));
-    }
-    if (wave.empty()) continue;
+  ChunkWave wave;
+  for (;;) {
+    wave.clear();
+    GREATER_RETURN_NOT_OK(next_wave(&wave));
+    if (wave.empty()) break;
     std::vector<Status> wave_status(wave.size());
     auto accumulate = [&](size_t shard, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        wave_status[i] = shards[shard].AccumulateChunk(wave[i], vocab_size_);
+        wave_status[i] = shards[shard].AccumulateChunk(*wave[i], vocab_size_);
       }
     };
     if (pool != nullptr) {
@@ -166,14 +174,13 @@ Status NGramLm::FitStreaming(const SequenceChunkIterator& next_chunk,
     }
     for (size_t i = 0; i < wave.size(); ++i) {
       GREATER_RETURN_NOT_OK(wave_status[i]);
-      total_sequences += wave[i].size();
-      seq_counter.Increment(wave[i].size());
+      total_sequences += wave[i]->size();
+      seq_counter.Increment(wave[i]->size());
     }
     chunk_counter.Increment(wave.size());
   }
   if (total_sequences == 0) {
-    return Status::Invalid(
-        "NGramLm::FitStreaming requires at least one sequence");
+    return Status::Invalid("NGramLm::Fit requires at least one sequence");
   }
 
   // Fixed-order fold: shard 0 absorbs 1, then 2, ... Integer counts make

@@ -52,6 +52,8 @@ class NGramLm : public LanguageModel {
   /// Must be called before Fit.
   Status SetPriorCorpus(const std::vector<TokenSequence>& sequences);
 
+  /// The one-chunk case of FitStreaming: counts `sequences` in place (no
+  /// copy) on one shard and finalizes.
   Status Fit(const std::vector<TokenSequence>& sequences) override;
 
   /// Pull iterator for out-of-core fitting: each call returns the next
@@ -64,10 +66,9 @@ class NGramLm : public LanguageModel {
   /// ThreadPool onto `num_shards` CountShard accumulators (chunk i goes to
   /// shard i % num_shards), then folds shards in fixed shard-index order
   /// and finalizes. Shard counts are integers, so the resulting model is
-  /// bitwise-identical to serial Fit on the concatenated chunks at ANY
-  /// shard count — same contract PR 2 established for NeuralLm gradients.
-  /// Peak memory is the count tables plus one in-flight wave of chunks.
-  /// Emits lm.fit.shard_* metrics.
+  /// bitwise-identical to Fit on the concatenated chunks at ANY shard
+  /// count. Peak memory is the count tables plus one in-flight wave of
+  /// chunks. Fit and FitStreaming both emit lm.fit.shard_* metrics.
   Status FitStreaming(const SequenceChunkIterator& next_chunk,
                       size_t num_shards);
 
@@ -125,6 +126,16 @@ class NGramLm : public LanguageModel {
   // One map per order level; key = packed context ids.
   using LevelMap =
       std::unordered_map<ContextKey, ContextStats, ContextKeyHash>;
+
+  /// One wave of chunks for the shard-counting core: at most one per
+  /// shard, each readable until the next wave is pulled.
+  using ChunkWave = std::vector<const std::vector<TokenSequence>*>;
+
+  /// The shard-counting core behind Fit and FitStreaming: pulls waves of
+  /// non-empty chunks (an empty wave ends input), counts wave position j
+  /// on shard j, folds the shards in index order and finalizes.
+  Status CountShards(size_t num_shards,
+                     const std::function<Status(ChunkWave* wave)>& next_wave);
 
   static ContextKey PackContext(const TokenId* begin, size_t len);
   void AccumulateSequence(const TokenSequence& sequence, double weight);

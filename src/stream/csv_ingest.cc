@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "stream/bounded_queue.h"
@@ -333,13 +332,7 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
             }
             for (size_t c = 0; c < num_cols; ++c) {
               const std::string& cell = record.fields[c];
-              if (cell == csv.null_token) continue;
-              CsvColumnFlags& f = chunk->flags[c];
-              f.any_value = true;
-              if (f.all_int && !ParseInt(cell).has_value()) f.all_int = false;
-              if (f.all_double && !ParseDouble(cell).has_value()) {
-                f.all_double = false;
-              }
+              if (cell != csv.null_token) chunk->flags[c].Observe(cell);
             }
             chunk->rows.push_back(std::move(record.fields));
           }
@@ -487,81 +480,6 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
   impl->ckpt = checkpointer;
   GREATER_RETURN_NOT_OK(impl->Start(std::move(source)));
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
-}
-
-Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
-                                  const std::vector<CsvColumnFlags>& merged,
-                                  bool infer_types) {
-  const size_t num_cols = header.size();
-  std::vector<ValueType> types(num_cols, ValueType::kInt);
-  if (!infer_types) {
-    types.assign(num_cols, ValueType::kString);
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      if (!merged[c].any_value) {
-        types[c] = ValueType::kString;
-      } else if (merged[c].all_int) {
-        types[c] = ValueType::kInt;
-      } else if (merged[c].all_double) {
-        types[c] = ValueType::kDouble;
-      } else {
-        types[c] = ValueType::kString;
-      }
-    }
-  }
-  std::vector<Field> fields;
-  fields.reserve(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    SemanticType semantic = types[c] == ValueType::kDouble
-                                ? SemanticType::kContinuous
-                                : SemanticType::kCategorical;
-    fields.emplace_back(header[c], types[c], semantic);
-  }
-  return Schema::Make(std::move(fields));
-}
-
-Result<Table> CsvRowsToTable(
-    const Schema& schema, const std::vector<std::vector<std::string>>& rows,
-    const std::string& null_token) {
-  const size_t num_cols = schema.num_fields();
-  Table table(schema);
-  for (const auto& row_cells : rows) {
-    Row row;
-    row.reserve(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& cell = row_cells[c];
-      if (cell == null_token) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      switch (schema.field(c).type) {
-        case ValueType::kInt: {
-          std::optional<int64_t> parsed = ParseInt(cell);
-          if (!parsed.has_value()) {
-            return Status::DataLoss("cell '" + cell +
-                                    "' does not parse as int in column '" +
-                                    schema.field(c).name + "'");
-          }
-          row.push_back(Value(*parsed));
-          break;
-        }
-        case ValueType::kDouble: {
-          std::optional<double> parsed = ParseDouble(cell);
-          if (!parsed.has_value()) {
-            return Status::DataLoss("cell '" + cell +
-                                    "' does not parse as double in column '" +
-                                    schema.field(c).name + "'");
-          }
-          row.push_back(Value(*parsed));
-          break;
-        }
-        default:
-          row.push_back(Value(cell));
-      }
-    }
-    GREATER_RETURN_NOT_OK(table.AppendRow(std::move(row)));
-  }
-  return table;
 }
 
 namespace {

@@ -69,14 +69,6 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const std::string& source_label =
                                          "<memory>");
 
-/// Per-column type-inference accumulator: merged across chunks with
-/// OR/AND/AND, reproducing ReadCsvString's whole-column scan exactly.
-struct CsvColumnFlags {
-  bool any_value = false;
-  bool all_int = true;
-  bool all_double = true;
-};
-
 /// One in-order chunk of a streaming CSV pass: the kept records' raw
 /// fields plus this chunk's type flags. Quarantined records were already
 /// counted (and written, when a quarantine file is configured) by the
@@ -149,14 +141,6 @@ class CsvChunkReader {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Builds the inferred schema from the header and the flags merged across
-/// every chunk — the exact ReadCsvString type-inference semantics
-/// (int -> double -> string; value-less columns are string; continuous
-/// semantic type for doubles, categorical otherwise).
-Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
-                                  const std::vector<CsvColumnFlags>& merged,
-                                  bool infer_types);
-
 /// Schema-only streaming pass: runs the chunked topology, merges each
 /// chunk's type flags, and drops the rows — peak memory is one queue's
 /// worth of chunks. With a checkpointer, every chunk parsed here is
@@ -170,14 +154,6 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        ChunkCheckpointer* checkpointer =
                                            nullptr,
                                        QuarantineWriter* quarantine = nullptr);
-
-/// Converts one chunk's raw string rows into a typed Table under a fixed
-/// schema (null_token cells become nulls). kDataLoss when a cell fails to
-/// parse as its column's declared type — impossible when the schema was
-/// inferred from the same input.
-Result<Table> CsvRowsToTable(const Schema& schema,
-                             const std::vector<std::vector<std::string>>& rows,
-                             const std::string& null_token);
 
 }  // namespace greater
 

@@ -23,10 +23,6 @@ enum class StreamPolicy {
 /// bounded by `queue_capacity * chunk_rows` per queue — backpressure, not
 /// unbounded buffering, absorbs a slow consumer.
 struct StreamOptions {
-  /// Master switch: when false, pipeline paths use the in-memory
-  /// implementations unchanged.
-  bool enabled = false;
-
   /// Records per chunk. Smaller chunks mean finer-grained resume and a
   /// lower memory ceiling; larger chunks amortize queue and checkpoint
   /// overhead.

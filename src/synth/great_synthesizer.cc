@@ -1,6 +1,8 @@
 #include "synth/great_synthesizer.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -36,72 +38,15 @@ GreatSynthesizer::~GreatSynthesizer() = default;
 
 Status GreatSynthesizer::Fit(const Table& train, Rng* rng) {
   Span fit_span("synth.fit");
-  if (fitted()) {
-    return Status::FailedPrecondition("GreatSynthesizer already fitted");
-  }
-  if (train.num_rows() == 0) {
-    return Status::Invalid("cannot fit on an empty table");
-  }
-  GREATER_FAULT_POINT("lm.fit");
-  GREATER_ASSIGN_OR_RETURN(
-      TextualEncoder encoder,
-      TextualEncoder::Build(train, options_.encoder, options_.prior_corpus));
-  encoder_ = std::make_unique<TextualEncoder>(std::move(encoder));
-
-  GREATER_ASSIGN_OR_RETURN(std::vector<TokenSequence> sequences,
-                           encoder_->EncodeTable(train, rng));
-  if (options_.max_training_sequences > 0 &&
-      sequences.size() > options_.max_training_sequences) {
-    rng->Shuffle(&sequences);
-    sequences.resize(options_.max_training_sequences);
-  }
-
-  std::vector<TokenSequence> prior_sequences;
-  bool use_prior = options_.prior_weight > 0.0 && !options_.prior_corpus.empty();
-  if (use_prior) {
-    prior_sequences.reserve(options_.prior_corpus.size());
-    for (const auto& line : options_.prior_corpus) {
-      prior_sequences.push_back(encoder_->EncodeTextLine(line));
-    }
-  }
-
-  size_t vocab_size = encoder_->vocab().size();
-  switch (options_.backbone) {
-    case Backbone::kNGram: {
-      NGramLm::Options lm_options = options_.ngram;
-      if (use_prior) lm_options.prior_weight = options_.prior_weight;
-      auto lm = std::make_unique<NGramLm>(vocab_size, lm_options);
-      if (use_prior) {
-        GREATER_RETURN_NOT_OK(lm->SetPriorCorpus(prior_sequences));
-      }
-      GREATER_RETURN_NOT_OK(lm->Fit(sequences));
-      lm_ = std::move(lm);
-      break;
-    }
-    case Backbone::kNeural: {
-      NeuralLm::Options lm_options = options_.neural;
-      lm_options.num_threads =
-          std::max(lm_options.num_threads, options_.num_threads);
-      auto lm = std::make_unique<NeuralLm>(vocab_size, lm_options);
-      if (use_prior) {
-        GREATER_RETURN_NOT_OK(lm->SetPriorCorpus(prior_sequences));
-      }
-      GREATER_RETURN_NOT_OK(lm->Fit(sequences));
-      lm_ = std::move(lm);
-      break;
-    }
-  }
-
-  observed_values_.clear();
-  observed_values_.resize(train.num_columns());
-  for (size_t c = 0; c < train.num_columns(); ++c) {
-    for (size_t r = 0; r < train.num_rows(); ++r) {
-      observed_values_[c].Insert(train.at(r, c).ToDisplayString());
-    }
-    observed_values_[c].SortPool();
-  }
-  BuildGrammars();
-  return Status::OK();
+  // The whole table is the one chunk of every pass, borrowed in place.
+  return FitChunks(
+      [&train]() -> Result<ChunkPass> {
+        return ChunkPass([&train, pulled = false]() mutable
+                         -> Result<const Table*> {
+          return std::exchange(pulled, true) ? nullptr : &train;
+        });
+      },
+      rng);
 }
 
 Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
@@ -120,37 +65,52 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
         "FitStreaming does not support max_training_sequences (a uniform "
         "subsample needs the whole corpus)");
   }
+  // Each pass opens a fresh stream and holds its current chunk, which the
+  // core reads by pointer until its next pull.
+  return FitChunks(
+      [&chunks]() -> Result<ChunkPass> {
+        GREATER_ASSIGN_OR_RETURN(TableChunkStream next, chunks());
+        return ChunkPass([next = std::move(next),
+                          current = std::optional<Table>()]() mutable
+                         -> Result<const Table*> {
+          GREATER_ASSIGN_OR_RETURN(current, next());
+          return current.has_value() ? &*current : nullptr;
+        });
+      },
+      rng);
+}
+
+Status GreatSynthesizer::FitChunks(const ChunkPasses& open_pass, Rng* rng) {
+  if (fitted()) {
+    return Status::FailedPrecondition("GreatSynthesizer already fitted");
+  }
   GREATER_FAULT_POINT("lm.fit");
 
-  // Pass A: one streaming scan collecting each column's distinct values in
-  // first-seen order (deduplicated on display string, exactly how both the
-  // encoder's vocabulary and the observed-value pools key values).
-  struct DistinctColumn {
-    std::vector<Value> values;  // first occurrence of each display string
-    std::unordered_set<std::string> seen;
-  };
-  std::vector<DistinctColumn> distinct;
+  // Pass A: collect each column's distinct values in first-seen order,
+  // deduplicated on display string — exactly how both the encoder's
+  // vocabulary and the observed-value pools key values.
+  std::vector<std::vector<Value>> distinct;
+  std::vector<ObservedColumn> observed;
   std::optional<Schema> schema;
   uint64_t total_rows = 0;
   {
-    GREATER_ASSIGN_OR_RETURN(TableChunkStream next_chunk, chunks());
+    GREATER_ASSIGN_OR_RETURN(ChunkPass next_chunk, open_pass());
     for (;;) {
-      GREATER_ASSIGN_OR_RETURN(std::optional<Table> chunk, next_chunk());
-      if (!chunk.has_value()) break;
+      GREATER_ASSIGN_OR_RETURN(const Table* chunk, next_chunk());
+      if (chunk == nullptr) break;
       if (!schema.has_value()) {
         schema = chunk->schema();
         distinct.resize(chunk->num_columns());
+        observed.resize(chunk->num_columns());
       } else if (!(chunk->schema() == *schema)) {
-        return Status::Invalid(
-            "FitStreaming chunk source changed schema mid-stream");
+        return Status::Invalid("fit chunk source changed schema mid-stream");
       }
       for (size_t c = 0; c < chunk->num_columns(); ++c) {
-        DistinctColumn& column = distinct[c];
         for (size_t r = 0; r < chunk->num_rows(); ++r) {
           const Value& value = chunk->at(r, c);
-          auto [it, inserted] = column.seen.insert(value.ToDisplayString());
-          (void)it;
-          if (inserted) column.values.push_back(value);
+          if (observed[c].Insert(value.ToDisplayString())) {
+            distinct[c].push_back(value);
+          }
         }
       }
       total_rows += chunk->num_rows();
@@ -159,6 +119,7 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
   if (total_rows == 0) {
     return Status::Invalid("cannot fit on an empty table");
   }
+  for (ObservedColumn& column : observed) column.SortPool();
 
   // The encoder's vocabulary, value-token lists, and error checks depend
   // only on the SET of distinct display strings per column and the order
@@ -166,21 +127,18 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
   // column-major with idempotent token insertion). A compact table whose
   // column c lists exactly those distinct values in first-seen order —
   // short columns padded by repeating their last value — therefore builds
-  // a bitwise-identical encoder without materializing the input.
+  // the same encoder as the whole table would.
   size_t max_distinct = 0;
-  for (const DistinctColumn& column : distinct) {
-    max_distinct = std::max(max_distinct, column.values.size());
+  for (const std::vector<Value>& values : distinct) {
+    max_distinct = std::max(max_distinct, values.size());
   }
   Table distinct_table(*schema);
   for (size_t r = 0; r < max_distinct; ++r) {
     Row row;
     row.reserve(distinct.size());
-    for (const DistinctColumn& column : distinct) {
-      if (column.values.empty()) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(column.values[std::min(r, column.values.size() - 1)]);
-      }
+    for (const std::vector<Value>& values : distinct) {
+      row.push_back(values.empty() ? Value::Null()
+                                   : values[std::min(r, values.size() - 1)]);
     }
     GREATER_RETURN_NOT_OK(distinct_table.AppendRow(std::move(row)));
   }
@@ -201,48 +159,78 @@ Status GreatSynthesizer::FitStreaming(const TableChunkSource& chunks,
   }
 
   size_t vocab_size = encoder_->vocab().size();
-  NGramLm::Options lm_options = options_.ngram;
-  if (use_prior) lm_options.prior_weight = options_.prior_weight;
-  auto lm = std::make_unique<NGramLm>(vocab_size, lm_options);
-  if (use_prior) {
-    GREATER_RETURN_NOT_OK(lm->SetPriorCorpus(prior_sequences));
+  std::unique_ptr<LanguageModel> lm;
+  NGramLm* ngram = nullptr;
+  switch (options_.backbone) {
+    case Backbone::kNGram: {
+      NGramLm::Options lm_options = options_.ngram;
+      if (use_prior) lm_options.prior_weight = options_.prior_weight;
+      auto ngram_lm = std::make_unique<NGramLm>(vocab_size, lm_options);
+      if (use_prior) {
+        GREATER_RETURN_NOT_OK(ngram_lm->SetPriorCorpus(prior_sequences));
+      }
+      ngram = ngram_lm.get();
+      lm = std::move(ngram_lm);
+      break;
+    }
+    case Backbone::kNeural: {
+      NeuralLm::Options lm_options = options_.neural;
+      lm_options.num_threads =
+          std::max(lm_options.num_threads, options_.num_threads);
+      auto neural_lm = std::make_unique<NeuralLm>(vocab_size, lm_options);
+      if (use_prior) {
+        GREATER_RETURN_NOT_OK(neural_lm->SetPriorCorpus(prior_sequences));
+      }
+      lm = std::move(neural_lm);
+      break;
+    }
   }
 
-  // Pass B: re-open the source and encode chunk by chunk into the model's
-  // sharded counting. One shared rng AND one shared permutation state,
-  // both advanced in chunk order, make the feature-permutation stream
-  // identical to whole-table EncodeTable (the shuffle mutates the order
-  // vector in place across rows, so it must persist across chunks too).
-  {
-    GREATER_ASSIGN_OR_RETURN(TableChunkStream next_chunk, chunks());
-    auto order = std::make_shared<std::vector<size_t>>();
-    NGramLm::SequenceChunkIterator encode_next =
-        [this, &next_chunk, rng,
-         order]() -> Result<std::optional<std::vector<TokenSequence>>> {
-      GREATER_ASSIGN_OR_RETURN(std::optional<Table> chunk, next_chunk());
-      if (!chunk.has_value()) {
-        return std::optional<std::vector<TokenSequence>>();
+  // Pass B: encode chunk by chunk. One shared rng AND one shared
+  // permutation state, both advanced in chunk order, make the
+  // feature-permutation stream identical to a whole-table EncodeTable (the
+  // shuffle mutates the order vector in place across rows, so it must
+  // persist across chunks too).
+  GREATER_ASSIGN_OR_RETURN(ChunkPass next_chunk, open_pass());
+  std::vector<size_t> order;
+  NGramLm::SequenceChunkIterator encode_next =
+      [&]() -> Result<std::optional<std::vector<TokenSequence>>> {
+    GREATER_ASSIGN_OR_RETURN(const Table* chunk, next_chunk());
+    if (chunk == nullptr) return std::optional<std::vector<TokenSequence>>();
+    GREATER_ASSIGN_OR_RETURN(
+        std::vector<TokenSequence> sequences,
+        encoder_->EncodeTableWithOrderState(*chunk, rng, &order));
+    return std::optional<std::vector<TokenSequence>>(std::move(sequences));
+  };
+  if (ngram != nullptr && options_.max_training_sequences == 0) {
+    // Streams into the shard counters; no corpus is ever held whole.
+    GREATER_RETURN_NOT_OK(ngram->FitStreaming(
+        encode_next, std::max<size_t>(1, options_.num_fit_shards)));
+  } else {
+    // Neural training and the uniform subsample need the whole corpus;
+    // only Fit reaches this branch, so its one chunk is the corpus.
+    std::vector<TokenSequence> sequences;
+    for (;;) {
+      GREATER_ASSIGN_OR_RETURN(std::optional<std::vector<TokenSequence>> chunk,
+                               encode_next());
+      if (!chunk.has_value()) break;
+      if (sequences.empty()) {
+        sequences = std::move(*chunk);
+      } else {
+        sequences.insert(sequences.end(),
+                         std::make_move_iterator(chunk->begin()),
+                         std::make_move_iterator(chunk->end()));
       }
-      GREATER_ASSIGN_OR_RETURN(
-          std::vector<TokenSequence> sequences,
-          encoder_->EncodeTableWithOrderState(*chunk, rng, order.get()));
-      return std::optional<std::vector<TokenSequence>>(std::move(sequences));
-    };
-    size_t shards = std::max<size_t>(1, options_.num_fit_shards);
-    GREATER_RETURN_NOT_OK(lm->FitStreaming(encode_next, shards));
+    }
+    if (options_.max_training_sequences > 0 &&
+        sequences.size() > options_.max_training_sequences) {
+      rng->Shuffle(&sequences);
+      sequences.resize(options_.max_training_sequences);
+    }
+    GREATER_RETURN_NOT_OK(lm->Fit(sequences));
   }
   lm_ = std::move(lm);
-
-  // The observed-value pools dedupe on display string and sort afterwards,
-  // so feeding each column's distinct list reproduces the full-table scan.
-  observed_values_.clear();
-  observed_values_.resize(distinct.size());
-  for (size_t c = 0; c < distinct.size(); ++c) {
-    for (const Value& value : distinct[c].values) {
-      observed_values_[c].Insert(value.ToDisplayString());
-    }
-    observed_values_[c].SortPool();
-  }
+  observed_values_ = std::move(observed);
   BuildGrammars();
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -120,21 +121,26 @@ class GreatSynthesizer {
   GreatSynthesizer& operator=(GreatSynthesizer&&) noexcept;
   ~GreatSynthesizer();
 
-  /// Fits encoder + language model on `train`. One-shot.
+  /// Fits encoder + language model on `train`. One-shot. The one-chunk
+  /// case of the fitting core FitStreaming also runs: `train` is read in
+  /// place (never copied) and, with the n-gram backbone and no
+  /// max_training_sequences, its encoded corpus streams into
+  /// NGramLm::FitStreaming. Only the neural backbone and the uniform
+  /// subsample hold the whole encoded corpus, which they need.
   Status Fit(const Table& train, Rng* rng);
 
   /// Out-of-core Fit: consumes `chunks` (a restartable typed-chunk source,
   /// e.g. FitStage::ChunkSource over a CSV on disk) in two streaming
-  /// passes — first collecting each column's distinct values to build the
-  /// encoder and observed-value pools, then encoding chunk by chunk into
-  /// NGramLm::FitStreaming with options().num_fit_shards accumulators.
-  /// Peak memory is bounded by the chunk size plus the model's count
-  /// tables; the whole table is never materialized. The fitted synthesizer
-  /// is bitwise-identical to Fit on the concatenated chunks (same
-  /// encoder, same counts, same samples at a fixed seed), because the
-  /// encoder's vocabulary depends only on first-seen distinct values and
-  /// the shard counts are exact integers. Requires the n-gram backbone
-  /// and max_training_sequences == 0 (a subsample needs the whole corpus).
+  /// passes of the same fitting core as Fit — first collecting each
+  /// column's distinct values to build the encoder and observed-value
+  /// pools, then encoding chunk by chunk into NGramLm::FitStreaming with
+  /// options().num_fit_shards accumulators. Peak memory is bounded by the
+  /// chunk size plus the model's count tables; the whole table is never
+  /// materialized. The fitted synthesizer is bitwise-identical to Fit on
+  /// the concatenated chunks (same encoder, same counts, same samples at a
+  /// fixed seed). Requires the n-gram backbone and
+  /// max_training_sequences == 0 (a subsample needs the whole corpus);
+  /// anything else is kInvalidArgument.
   Status FitStreaming(const TableChunkSource& chunks, Rng* rng);
 
   /// Samples `n` synthetic rows. Under SamplePolicy::kLenient the result
@@ -228,6 +234,8 @@ class GreatSynthesizer {
   friend class BatchDecodeEngine;
   /// The per-row decoder kept in tests/ as the engine's bitwise oracle.
   friend class PerRowReferenceDecoder;
+  /// The whole-table fit kept in tests/ as the fitting core's oracle.
+  friend class WholeTableFitReference;
 
   /// Hard cap on tokens per generated value; guards against degenerate
   /// loops when the model keeps emitting value tokens.
@@ -245,6 +253,20 @@ class GreatSynthesizer {
     AllowListId with_comma_id = kNoAllowList;
     AllowListId with_eos_id = kNoAllowList;
   };
+
+  /// One pass over the training chunks: each call yields the next chunk,
+  /// readable until the following call, or nullptr at end of input.
+  using ChunkPass = std::function<Result<const Table*>()>;
+  /// Opens a fresh pass; a source must yield the same chunks every time.
+  using ChunkPasses = std::function<Result<ChunkPass>()>;
+
+  /// The fitting core behind Fit and FitStreaming. Pass A collects each
+  /// column's distinct values (first-seen order), builds the encoder from
+  /// them and fills the observed-value pools; pass B encodes chunk by
+  /// chunk. The n-gram backbone without a subsample streams the encoded
+  /// chunks into NGramLm::FitStreaming; otherwise the encoded chunks are
+  /// collected, subsampled when asked, and handed to LanguageModel::Fit.
+  Status FitChunks(const ChunkPasses& open_pass, Rng* rng);
 
   /// The serial-path engine, built on first use. Also rebuilt when the
   /// held engine decodes for another synthesizer: a move carries the
@@ -268,8 +290,11 @@ class GreatSynthesizer {
     std::unordered_set<std::string> set;
     std::vector<std::string> sorted;
 
-    void Insert(const std::string& value) {
-      if (set.insert(value).second) sorted.push_back(value);
+    /// True when `value` was not yet in the pool.
+    bool Insert(const std::string& value) {
+      if (!set.insert(value).second) return false;
+      sorted.push_back(value);
+      return true;
     }
     void SortPool() { std::sort(sorted.begin(), sorted.end()); }
   };

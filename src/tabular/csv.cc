@@ -1,6 +1,7 @@
 #include "tabular/csv.h"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -24,26 +25,6 @@ Counter& BlankLinesSkippedCounter() {
   static Counter* counter =
       &MetricsRegistry::Global().GetCounter("csv.blank_lines_skipped");
   return *counter;
-}
-
-// Splits CSV text into records of raw string fields, honoring quotes.
-// Implemented on the incremental splitter so the whole-string and chunked
-// readers can never drift apart semantically.
-Result<std::vector<std::vector<std::string>>> ParseRecords(
-    std::string_view text, char delim) {
-  CsvRecordSplitter splitter(delim);
-  splitter.set_max_record_bytes(0);  // whole-string path has no chunk budget
-  splitter.Feed(text);
-  splitter.FinishInput();
-  std::vector<std::vector<std::string>> records;
-  CsvRecordSplitter::Record record;
-  for (;;) {
-    GREATER_ASSIGN_OR_RETURN(CsvRecordSplitter::Next next,
-                             splitter.NextRecord(&record));
-    if (next != CsvRecordSplitter::Next::kRecord) break;
-    records.push_back(std::move(record.fields));
-  }
-  return records;
 }
 
 }  // namespace
@@ -182,91 +163,70 @@ Result<CsvRecordSplitter::Next> CsvRecordSplitter::NextRecord(Record* out) {
   return Next::kEndOfInput;
 }
 
-Result<Table> ReadCsvString(const std::string& text,
-                            const CsvReadOptions& options) {
-  GREATER_FAULT_POINT("csv.read");
-  // Tolerate a UTF-8 byte-order mark: some exporters (notably spreadsheet
-  // tools on Windows) prepend one, and without stripping it the BOM bytes
-  // would silently become part of the first header name.
-  std::string_view body(text);
-  if (body.size() >= 3 && body.substr(0, 3) == "\xEF\xBB\xBF") {
-    body.remove_prefix(3);
-    BomStrippedCounter().Increment();
-  }
-  GREATER_ASSIGN_OR_RETURN(auto records,
-                           ParseRecords(body, options.delimiter));
-  if (records.empty()) {
-    return Status::DataLoss("CSV has no header record");
-  }
-  const std::vector<std::string>& header = records[0];
-  size_t num_cols = header.size();
-  for (size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != num_cols) {
-      // 1-based record number counting the header as record 1, so the
-      // number matches the line users see in an editor (blank lines aside).
-      return Status::DataLoss("CSV record " + std::to_string(r + 1) +
-                              " has " + std::to_string(records[r].size()) +
-                              " fields, header has " +
-                              std::to_string(num_cols));
-    }
-  }
+void CsvColumnFlags::Observe(const std::string& cell) {
+  any_value = true;
+  if (all_int && !ParseInt(cell).has_value()) all_int = false;
+  if (all_double && !ParseDouble(cell).has_value()) all_double = false;
+}
 
-  // Infer a type per column.
-  std::vector<ValueType> types(num_cols, ValueType::kInt);
-  if (!options.infer_types) {
-    types.assign(num_cols, ValueType::kString);
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      bool all_int = true;
-      bool all_double = true;
-      bool any_value = false;
-      for (size_t r = 1; r < records.size(); ++r) {
-        const std::string& cell = records[r][c];
-        if (cell == options.null_token) continue;
-        any_value = true;
-        if (all_int && !ParseInt(cell).has_value()) all_int = false;
-        if (all_double && !ParseDouble(cell).has_value()) all_double = false;
-        if (!all_int && !all_double) break;
-      }
-      if (!any_value) {
-        types[c] = ValueType::kString;
-      } else if (all_int) {
-        types[c] = ValueType::kInt;
-      } else if (all_double) {
-        types[c] = ValueType::kDouble;
-      } else {
-        types[c] = ValueType::kString;
-      }
-    }
-  }
-
+Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
+                                  const std::vector<CsvColumnFlags>& merged,
+                                  bool infer_types) {
+  const size_t num_cols = header.size();
   std::vector<Field> fields;
   fields.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    SemanticType semantic = types[c] == ValueType::kDouble
+    ValueType type = ValueType::kString;
+    if (infer_types && merged[c].any_value) {
+      if (merged[c].all_int) {
+        type = ValueType::kInt;
+      } else if (merged[c].all_double) {
+        type = ValueType::kDouble;
+      }
+    }
+    SemanticType semantic = type == ValueType::kDouble
                                 ? SemanticType::kContinuous
                                 : SemanticType::kCategorical;
-    fields.emplace_back(header[c], types[c], semantic);
+    fields.emplace_back(header[c], type, semantic);
   }
-  GREATER_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  Table table(std::move(schema));
+  return Schema::Make(std::move(fields));
+}
 
-  for (size_t r = 1; r < records.size(); ++r) {
+Result<Table> CsvRowsToTable(
+    const Schema& schema, const std::vector<std::vector<std::string>>& rows,
+    const std::string& null_token) {
+  const size_t num_cols = schema.num_fields();
+  Table table(schema);
+  for (const auto& row_cells : rows) {
     Row row;
     row.reserve(num_cols);
     for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& cell = records[r][c];
-      if (cell == options.null_token) {
+      const std::string& cell = row_cells[c];
+      if (cell == null_token) {
         row.push_back(Value::Null());
         continue;
       }
-      switch (types[c]) {
-        case ValueType::kInt:
-          row.push_back(Value(*ParseInt(cell)));
+      switch (schema.field(c).type) {
+        case ValueType::kInt: {
+          std::optional<int64_t> parsed = ParseInt(cell);
+          if (!parsed.has_value()) {
+            return Status::DataLoss("cell '" + cell +
+                                    "' does not parse as int in column '" +
+                                    schema.field(c).name + "'");
+          }
+          row.push_back(Value(*parsed));
           break;
-        case ValueType::kDouble:
-          row.push_back(Value(*ParseDouble(cell)));
+        }
+        case ValueType::kDouble: {
+          std::optional<double> parsed = ParseDouble(cell);
+          if (!parsed.has_value()) {
+            return Status::DataLoss("cell '" + cell +
+                                    "' does not parse as double in column '" +
+                                    schema.field(c).name + "'");
+          }
+          row.push_back(Value(*parsed));
           break;
+        }
         default:
           row.push_back(Value(cell));
       }
@@ -274,6 +234,51 @@ Result<Table> ReadCsvString(const std::string& text,
     GREATER_RETURN_NOT_OK(table.AppendRow(std::move(row)));
   }
   return table;
+}
+
+Result<Table> ReadCsvString(const std::string& text,
+                            const CsvReadOptions& options) {
+  GREATER_FAULT_POINT("csv.read");
+  // The splitter strips a leading UTF-8 BOM and skips blank lines; the
+  // whole-string path has no chunk budget, so records are unbounded.
+  CsvRecordSplitter splitter(options.delimiter);
+  splitter.set_max_record_bytes(0);
+  splitter.Feed(text);
+  splitter.FinishInput();
+  std::optional<std::vector<std::string>> header;
+  std::vector<CsvColumnFlags> flags;
+  std::vector<std::vector<std::string>> rows;
+  CsvRecordSplitter::Record record;
+  for (;;) {
+    GREATER_ASSIGN_OR_RETURN(CsvRecordSplitter::Next next,
+                             splitter.NextRecord(&record));
+    if (next != CsvRecordSplitter::Next::kRecord) break;
+    if (!header.has_value()) {
+      header = std::move(record.fields);
+      flags.resize(header->size());
+      continue;
+    }
+    if (record.fields.size() != header->size()) {
+      // 1-based record number counting the header as record 1, so the
+      // number matches the line users see in an editor (blank lines aside).
+      return Status::DataLoss("CSV record " + std::to_string(record.number) +
+                              " has " + std::to_string(record.fields.size()) +
+                              " fields, header has " +
+                              std::to_string(header->size()));
+    }
+    for (size_t c = 0; c < flags.size(); ++c) {
+      if (record.fields[c] != options.null_token) {
+        flags[c].Observe(record.fields[c]);
+      }
+    }
+    rows.push_back(std::move(record.fields));
+  }
+  if (!header.has_value()) {
+    return Status::DataLoss("CSV has no header record");
+  }
+  GREATER_ASSIGN_OR_RETURN(
+      Schema schema, SchemaFromCsvFlags(*header, flags, options.infer_types));
+  return CsvRowsToTable(schema, rows, options.null_token);
 }
 
 Result<Table> ReadCsvFile(const std::string& path,

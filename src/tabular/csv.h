@@ -90,6 +90,36 @@ class CsvRecordSplitter {
   uint64_t records_emitted_ = 0;
 };
 
+/// Per-column type-inference accumulator. ReadCsvString folds every
+/// non-null cell of a column into one; the chunked reader keeps one per
+/// chunk and merges them with OR/AND/AND, which reproduces the
+/// whole-column scan exactly.
+struct CsvColumnFlags {
+  bool any_value = false;
+  bool all_int = true;
+  bool all_double = true;
+
+  /// Folds one non-null cell into the flags.
+  void Observe(const std::string& cell);
+};
+
+/// Builds the inferred schema from the header and each column's flags —
+/// the one type-inference rule of every CSV reader: int -> double ->
+/// string, value-less columns are string, and every column is string when
+/// `infer_types` is false. Doubles are continuous, everything else
+/// categorical.
+Result<Schema> SchemaFromCsvFlags(const std::vector<std::string>& header,
+                                  const std::vector<CsvColumnFlags>& merged,
+                                  bool infer_types);
+
+/// Converts raw string rows into a typed Table under a fixed schema
+/// (null_token cells become nulls). kDataLoss when a cell fails to parse
+/// as its column's declared type — impossible when the schema was
+/// inferred from the same input.
+Result<Table> CsvRowsToTable(const Schema& schema,
+                             const std::vector<std::vector<std::string>>& rows,
+                             const std::string& null_token);
+
 /// Parses RFC-4180-style CSV text (double-quote quoting, embedded
 /// delimiters/newlines/escaped quotes) into a Table. The first record is
 /// the header. Inferred types: a column is kInt if every non-null cell

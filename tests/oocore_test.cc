@@ -32,6 +32,7 @@
 #include "synth/streaming_synthesis.h"
 #include "tabular/csv.h"
 #include "tabular/table.h"
+#include "whole_table_fit_reference.h"
 
 namespace greater {
 namespace {
@@ -123,10 +124,12 @@ class OocoreTest : public testing::Test {
 TEST_F(OocoreTest, FitStreamingMatchesSerialFitBitwiseAtEveryShardCount) {
   Table train = TrainTable(90);
 
+  // The reference is the whole-table fit oracle, not Fit: Fit now runs
+  // the same chunked core as FitStreaming.
   GreatSynthesizer::Options options;
   GreatSynthesizer serial(options);
   Rng serial_rng(17);
-  ASSERT_TRUE(serial.Fit(train, &serial_rng).ok());
+  ASSERT_TRUE(WholeTableFitReference::Fit(&serial, train, &serial_rng).ok());
   Result<std::string> serial_bytes = serial.SerializeBinary();
   ASSERT_TRUE(serial_bytes.ok());
 

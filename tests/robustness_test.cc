@@ -477,6 +477,17 @@ Table ServeTrainTable(uint64_t seed) {
   return t;
 }
 
+// A request for `rows` rows of `tenant` from `seed`, every other field at
+// its default.
+SampleRequest RowsRequest(const std::string& tenant, size_t rows,
+                          uint64_t seed) {
+  SampleRequest request;
+  request.tenant = tenant;
+  request.rows = rows;
+  request.seed = seed;
+  return request;
+}
+
 std::shared_ptr<const GreatSynthesizer> ServeFitTenant(uint64_t seed) {
   auto model = std::make_shared<GreatSynthesizer>();
   Rng fit(seed);
@@ -501,7 +512,7 @@ TEST_F(RobustnessTest, ServeAdmitFaultRejectsTypedWhileOthersComplete) {
   std::shared_ptr<RequestTicket> doomed;
   {
     ScopedFault fault("serve.admit", spec);
-    doomed = server.Submit({"alpha", 6, 5});
+    doomed = server.Submit(RowsRequest("alpha", 6, 5));
   }
   // The tripped request is terminal before it ever entered the queue.
   ASSERT_TRUE(doomed->done());
@@ -513,7 +524,7 @@ TEST_F(RobustnessTest, ServeAdmitFaultRejectsTypedWhileOthersComplete) {
   // Other tenants' (and the same tenant's) requests are untouched.
   std::vector<std::shared_ptr<RequestTicket>> fine;
   for (uint64_t i = 0; i < 4; ++i) {
-    fine.push_back(server.Submit({i % 2 == 0 ? "beta" : "alpha", 4, 60 + i}));
+    fine.push_back(server.Submit(RowsRequest(i % 2 == 0 ? "beta" : "alpha", 4, 60 + i)));
   }
   for (auto& ticket : fine) {
     ASSERT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
@@ -538,10 +549,10 @@ TEST_F(RobustnessTest, ServePackFaultFailsOneRequestOthersComplete) {
   spec.max_fires = 1;
   ScopedFault fault("serve.pack", spec);
 
-  auto doomed = server.Submit({"alpha", 8, 5});
+  auto doomed = server.Submit(RowsRequest("alpha", 8, 5));
   std::vector<std::shared_ptr<RequestTicket>> others;
   for (uint64_t i = 0; i < 3; ++i) {
-    others.push_back(server.Submit({"beta", 5, 80 + i}));
+    others.push_back(server.Submit(RowsRequest("beta", 5, 80 + i)));
   }
 
   const Result<Table>& failed = doomed->Wait();

@@ -54,6 +54,17 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
   }
 }
 
+// A request for `rows` rows of `tenant` from `seed`, every other field at
+// its default.
+SampleRequest RowsRequest(const std::string& tenant, size_t rows,
+                          uint64_t seed) {
+  SampleRequest request;
+  request.tenant = tenant;
+  request.rows = rows;
+  request.seed = seed;
+  return request;
+}
+
 struct TenantSet {
   std::vector<std::string> names;
   std::vector<std::shared_ptr<const GreatSynthesizer>> models;
@@ -88,7 +99,7 @@ TEST(SynthesisServerTest, RegistrationAndSubmitErrorsAreTyped) {
             StatusCode::kAlreadyExists);
 
   // Submit before Start: terminal immediately, typed.
-  auto early = server.Submit({set.names[0], 3, 1});
+  auto early = server.Submit(RowsRequest(set.names[0], 3, 1));
   ASSERT_TRUE(early->done());
   EXPECT_EQ(early->Wait().status().code(), StatusCode::kFailedPrecondition);
 
@@ -96,7 +107,7 @@ TEST(SynthesisServerTest, RegistrationAndSubmitErrorsAreTyped) {
   EXPECT_EQ(server.AddTenant("late", set.models[0]).code(),
             StatusCode::kFailedPrecondition);
 
-  auto unknown = server.Submit({"nobody", 3, 1});
+  auto unknown = server.Submit(RowsRequest("nobody", 3, 1));
   ASSERT_TRUE(unknown->done());
   EXPECT_EQ(unknown->Wait().status().code(), StatusCode::kNotFound);
 
@@ -105,13 +116,13 @@ TEST(SynthesisServerTest, RegistrationAndSubmitErrorsAreTyped) {
   ASSERT_TRUE(bad_column->done());
   EXPECT_EQ(bad_column->Wait().status().code(), StatusCode::kNotFound);
 
-  auto empty_req = server.Submit({set.names[0], 0, 1});
+  auto empty_req = server.Submit(RowsRequest(set.names[0], 0, 1));
   ASSERT_TRUE(empty_req->done());
   ASSERT_TRUE(empty_req->Wait().ok());
   EXPECT_EQ(empty_req->Wait().ValueOrDie().num_rows(), 0u);
 
   EXPECT_TRUE(server.Shutdown().ok());
-  auto late = server.Submit({set.names[0], 3, 1});
+  auto late = server.Submit(RowsRequest(set.names[0], 3, 1));
   ASSERT_TRUE(late->done());
   EXPECT_EQ(late->Wait().status().code(), StatusCode::kFailedPrecondition);
 }
@@ -126,7 +137,7 @@ TEST(SynthesisServerTest, ServedMatchesDirectSampleBitwise) {
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
-  auto ticket = server.Submit({set.names[1], 17, 42});
+  auto ticket = server.Submit(RowsRequest(set.names[1], 17, 42));
   const Result<Table>& served = ticket->Wait();
   ASSERT_TRUE(served.ok()) << served.status();
 
@@ -304,10 +315,10 @@ TEST(SynthesisServerTest, CrossRequestPackingAndMetrics) {
   // while the small ones are admitted behind it — the packing sweep then
   // has multiple open requests to fill bundles from.
   std::vector<std::shared_ptr<RequestTicket>> tickets;
-  tickets.push_back(server.Submit({set.names[0], 60, 5}));
+  tickets.push_back(server.Submit(RowsRequest(set.names[0], 60, 5)));
   size_t expected_rows = 60;
   for (uint64_t i = 0; i < 12; ++i) {
-    tickets.push_back(server.Submit({set.names[0], 3, 100 + i}));
+    tickets.push_back(server.Submit(RowsRequest(set.names[0], 3, 100 + i)));
     expected_rows += 3;
   }
   for (auto& ticket : tickets) {
@@ -342,10 +353,10 @@ TEST(SynthesisServerTest, CancelMidFlightCompletesTyped) {
 
   // The big request occupies the worker; the victims are cancelled before
   // the packing sweep can reach them.
-  auto big = server.Submit({set.names[0], 80, 5});
+  auto big = server.Submit(RowsRequest(set.names[0], 80, 5));
   std::vector<std::shared_ptr<RequestTicket>> victims;
   for (uint64_t i = 0; i < 10; ++i) {
-    victims.push_back(server.Submit({set.names[0], 4, 200 + i}));
+    victims.push_back(server.Submit(RowsRequest(set.names[0], 4, 200 + i)));
   }
   for (auto& victim : victims) victim->Cancel();
 
@@ -385,7 +396,7 @@ TEST(SynthesisServerTest, OverdueRequestConvictedTyped) {
   // packing fills every 8-lane batch from it alone, so the sweep only
   // reaches the victim ~2500 bundles later), and the victim's 1 ms
   // deadline expires long before that.
-  auto big = server.Submit({set.names[0], 20000, 5});
+  auto big = server.Submit(RowsRequest(set.names[0], 20000, 5));
   SampleRequest victim_request;
   victim_request.tenant = set.names[0];
   victim_request.rows = 4;
@@ -493,7 +504,7 @@ TEST(SynthesisServerTest, WatchdogConvictsSilentlyDeadWorker) {
   std::vector<std::shared_ptr<RequestTicket>> tickets;
   for (uint64_t i = 0; i < 4; ++i) {
     tickets.push_back(
-        server.Submit({set.names[i % set.names.size()], 3, 400 + i}));
+        server.Submit(RowsRequest(set.names[i % set.names.size()], 3, 400 + i)));
   }
   // Only the watchdog can detect the silent death: the dead worker's
   // thread exited cleanly, so nothing blocks — wait for the conviction
@@ -656,11 +667,11 @@ TEST(SynthesisServerTest, TenantQuotasRejectTypedWithRetryAfter) {
   ASSERT_TRUE(server.Start().ok());
 
   // Drain the whole burst allowance in one request.
-  auto burst = server.Submit({set.names[0], 10, 7});
+  auto burst = server.Submit(RowsRequest(set.names[0], 10, 7));
   ASSERT_TRUE(burst->Wait().ok()) << burst->Wait().status();
 
   // The bucket is empty: a 5-row request needs 5 tokens = 5 ms of refill.
-  auto rejected = server.Submit({set.names[0], 5, 8});
+  auto rejected = server.Submit(RowsRequest(set.names[0], 5, 8));
   ASSERT_TRUE(rejected->done());  // quota rejections are terminal at Submit
   const Status& verdict = rejected->Wait().status();
   EXPECT_EQ(verdict.code(), StatusCode::kResourceExhausted) << verdict;
@@ -669,12 +680,12 @@ TEST(SynthesisServerTest, TenantQuotasRejectTypedWithRetryAfter) {
   EXPECT_NE(verdict.message().find("rows/sec quota"), std::string::npos);
 
   // The unlimited tenant is untouched by its neighbor's quota.
-  auto neighbor = server.Submit({set.names[1], 5, 9});
+  auto neighbor = server.Submit(RowsRequest(set.names[1], 5, 9));
   ASSERT_TRUE(neighbor->Wait().ok()) << neighbor->Wait().status();
 
   // Honoring the hint admits the request: advance the clock 5 ms.
   now_ns.fetch_add(5ull * 1000000ull);
-  auto retried = server.Submit({set.names[0], 5, 8});
+  auto retried = server.Submit(RowsRequest(set.names[0], 5, 8));
   ASSERT_TRUE(retried->Wait().ok()) << retried->Wait().status();
 
   ASSERT_TRUE(server.Shutdown().ok());
@@ -696,7 +707,7 @@ TEST(SynthesisServerTest, OpenLaneQuotaCapsInFlightRows) {
   ASSERT_TRUE(server.Start().ok());
 
   // A request bigger than the cap can never be admitted.
-  auto too_big = server.Submit({set.names[0], 9, 5});
+  auto too_big = server.Submit(RowsRequest(set.names[0], 9, 5));
   ASSERT_TRUE(too_big->done());
   const Status& verdict = too_big->Wait().status();
   EXPECT_EQ(verdict.code(), StatusCode::kResourceExhausted) << verdict;
@@ -705,9 +716,9 @@ TEST(SynthesisServerTest, OpenLaneQuotaCapsInFlightRows) {
   EXPECT_NE(verdict.message().find("open-lane quota"), std::string::npos);
 
   // Lanes free as requests go terminal: a within-cap request admits.
-  auto fits = server.Submit({set.names[0], 8, 6});
+  auto fits = server.Submit(RowsRequest(set.names[0], 8, 6));
   ASSERT_TRUE(fits->Wait().ok()) << fits->Wait().status();
-  auto after = server.Submit({set.names[0], 8, 7});
+  auto after = server.Submit(RowsRequest(set.names[0], 8, 7));
   ASSERT_TRUE(after->Wait().ok()) << after->Wait().status();
   ASSERT_TRUE(server.Shutdown().ok());
 }
@@ -750,7 +761,7 @@ TEST(SynthesisServerTest, EvictionAndReloadPreserveBitwiseOutput) {
   for (uint64_t round = 0; round < 3; ++round) {
     for (size_t t = 0; t < 2; ++t) {
       const uint64_t seed = 40 + round * 2 + t;
-      auto ticket = server.Submit({tenants[t], 7, seed});
+      auto ticket = server.Submit(RowsRequest(tenants[t], 7, seed));
       const Result<Table>& served = ticket->Wait();
       ASSERT_TRUE(served.ok()) << served.status();
       // Direct reference against a fresh load of the same artifact.
@@ -776,7 +787,7 @@ TEST(SynthesisServerTest, EvictionAndReloadPreserveBitwiseOutput) {
     spec.code = StatusCode::kDataLoss;
     spec.max_fires = 1;
     ScopedFault fault("serve.reload", spec);
-    auto doomed = server.Submit({"alpha", 4, 99});
+    auto doomed = server.Submit(RowsRequest("alpha", 4, 99));
     ASSERT_TRUE(doomed->done());
     EXPECT_EQ(doomed->Wait().status().code(), StatusCode::kDataLoss);
     EXPECT_NE(doomed->Wait().status().ToString().find(
@@ -784,7 +795,7 @@ TEST(SynthesisServerTest, EvictionAndReloadPreserveBitwiseOutput) {
               std::string::npos);
     EXPECT_EQ(FaultRegistry::Global().fires("serve.reload"), 1u);
   }
-  auto recovered = server.Submit({"alpha", 4, 99});
+  auto recovered = server.Submit(RowsRequest("alpha", 4, 99));
   ASSERT_TRUE(recovered->Wait().ok()) << recovered->Wait().status();
   {
     GreatSynthesizer direct_model;
@@ -799,7 +810,7 @@ TEST(SynthesisServerTest, EvictionAndReloadPreserveBitwiseOutput) {
   // budget instead of dropping a bundle.
   {
     ScopedFault fault("serve.evict", FaultSpec{});
-    auto pinned = server.Submit({"beta", 3, 123});
+    auto pinned = server.Submit(RowsRequest("beta", 3, 123));
     ASSERT_TRUE(pinned->Wait().ok()) << pinned->Wait().status();
     EXPECT_GE(FaultRegistry::Global().fires("serve.evict"), 0u);
     EXPECT_GT(registry.GetGauge("serve.resident_bundle_bytes").Value(),
@@ -834,14 +845,14 @@ TEST(SynthesisServerTest, BrownoutEntersOnceAndExitsAfterDwell) {
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
-  auto pin = server.Submit({set.names[0], 150, 3});
+  auto pin = server.Submit(RowsRequest(set.names[0], 150, 3));
   std::vector<std::shared_ptr<RequestTicket>> waves;
   for (int wave = 0; wave < 3; ++wave) {
     // Each wave re-crosses the high watermark; within one episode that
     // must never count as a new entry.
     for (uint64_t i = 0; i < 8; ++i) {
       waves.push_back(
-          server.Submit({set.names[0], 2, 700 + wave * 10 + i}));
+          server.Submit(RowsRequest(set.names[0], 2, 700 + wave * 10 + i)));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_EQ(entered.Value() - entered_before, 1u);
@@ -878,7 +889,7 @@ TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
-  auto pin = server.Submit({set.names[0], 100, 3});
+  auto pin = server.Submit(RowsRequest(set.names[0], 100, 3));
   std::vector<std::shared_ptr<RequestTicket>> backlog;
   for (uint64_t i = 0; i < 10; ++i) {
     SampleRequest low;

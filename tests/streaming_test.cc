@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "crosstable/flatten.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "obs/metrics.h"
@@ -83,7 +82,6 @@ std::string NumericCsv(size_t rows) {
 
 StreamOptions SmallStream() {
   StreamOptions opt;
-  opt.enabled = true;
   opt.chunk_rows = 3;
   opt.queue_capacity = 2;
   opt.num_workers = 1;
@@ -400,7 +398,6 @@ TEST_F(StreamingTest, LenientPolicyQuarantinesAndReconciles) {
 
 TEST_F(StreamingTest, PeakQueueResidencyStaysWithinCapacity) {
   StreamOptions opt;
-  opt.enabled = true;
   opt.chunk_rows = 4;
   opt.queue_capacity = 2;
   opt.num_workers = 2;
@@ -536,7 +533,6 @@ TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
   Spit(csv, text);
 
   StreamOptions opt;
-  opt.enabled = true;
   opt.chunk_rows = 8;
   opt.queue_capacity = 2;
   opt.num_workers = 1;
@@ -628,30 +624,6 @@ TEST_F(StreamingTest, FinishDoesNotWaitOutWatchdogPoll) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
-// ---------- streaming flatten ----------
-
-TEST_F(StreamingTest, StreamingFlattenMatchesDirectFlatten) {
-  Rng rng(7);
-  DigixOptions doptions;
-  doptions.num_users = 25;
-  DigixGenerator gen(doptions);
-  auto data = gen.Generate(&rng);
-  ASSERT_TRUE(data.ok());
-  auto reference = DirectFlatten(data->ads, data->feeds, "user_id");
-  ASSERT_TRUE(reference.ok());
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}}) {
-    StreamOptions opt;
-    opt.enabled = true;
-    opt.chunk_rows = 5;
-    opt.queue_capacity = 2;
-    opt.num_workers = workers;
-    auto streamed =
-        DirectFlattenStreaming(data->ads, data->feeds, "user_id", opt);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_TRUE(*streamed == *reference) << "workers=" << workers;
-  }
-}
-
 // ---------- pipeline integration ----------
 
 PipelineOptions FastPipeline(SamplePolicy policy) {
@@ -661,33 +633,6 @@ PipelineOptions FastPipeline(SamplePolicy policy) {
   options.synth.encoder.permutations_per_row = 1;
   options.synth.policy = policy;
   return options;
-}
-
-TEST_F(StreamingTest, PipelineOutputIdenticalWithStreamingEnabled) {
-  Rng gen_rng(7);
-  DigixOptions doptions;
-  doptions.num_users = 20;
-  DigixGenerator gen(doptions);
-  auto data = gen.Generate(&gen_rng);
-  ASSERT_TRUE(data.ok());
-
-  PipelineOptions base = FastPipeline(SamplePolicy::kStrict);
-  Rng rng_a(99);
-  auto plain = MultiTablePipeline(base).Run(data->ads, data->feeds,
-                                            "user_id", &rng_a);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  PipelineOptions streaming = base;
-  streaming.stream.enabled = true;
-  streaming.stream.chunk_rows = 7;
-  streaming.stream.queue_capacity = 2;
-  streaming.stream.num_workers = 2;
-  Rng rng_b(99);
-  auto streamed = MultiTablePipeline(streaming)
-                      .Run(data->ads, data->feeds, "user_id", &rng_b);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_TRUE(streamed->synthetic_parent == plain->synthetic_parent);
-  EXPECT_TRUE(streamed->synthetic_flat == plain->synthetic_flat);
 }
 
 TEST_F(StreamingTest, RunFromCsvLenientQuarantinesAndCompletes) {
@@ -714,7 +659,6 @@ TEST_F(StreamingTest, RunFromCsvLenientQuarantinesAndCompletes) {
   }
 
   PipelineOptions options = FastPipeline(SamplePolicy::kLenient);
-  options.stream.enabled = true;
   options.stream.chunk_rows = 16;
   options.stream.queue_capacity = 2;
   options.stream.quarantine_path = (dir / "quarantine.csv").string();
@@ -732,7 +676,6 @@ TEST_F(StreamingTest, RunFromCsvLenientQuarantinesAndCompletes) {
 
   // Strict mode over the same damaged files fails typed instead.
   PipelineOptions strict = FastPipeline(SamplePolicy::kStrict);
-  strict.stream.enabled = true;
   Rng rng2(5);
   auto failed = MultiTablePipeline(strict).RunFromCsv(
       ads_csv.string(), feeds_csv.string(), "user_id", &rng2);
@@ -758,7 +701,6 @@ TEST_F(StreamingTest, RunFromCsvBatchedSamplingIdentical) {
   ASSERT_TRUE(WriteCsvFile(data->feeds, feeds_csv.string()).ok());
 
   PipelineOptions base = FastPipeline(SamplePolicy::kStrict);
-  base.stream.enabled = true;
   base.stream.chunk_rows = 16;
   Rng rng_a(21);
   auto per_row = MultiTablePipeline(base).RunFromCsv(

@@ -3,10 +3,13 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "synth/great_synthesizer.h"
 #include "synth/relational_synthesizer.h"
 #include "synth/textual_encoder.h"
+#include "whole_table_fit_reference.h"
 
 namespace greater {
 namespace {
@@ -314,6 +317,81 @@ TEST(GreatSynthesizerTest, NeuralBackboneEndToEnd) {
   Table sample = synth.Sample(10, &rng).ValueOrDie();
   EXPECT_EQ(sample.num_rows(), 10u);
   EXPECT_EQ(sample.schema(), t.schema());
+}
+
+// A table for the fit-core oracle: repeated and multi-word categories, an
+// int column whose labels collide with another column's tokens, a double
+// column and null cells — every way a distinct value can be keyed.
+Table MixedFitTable() {
+  Schema schema({Field("city", ValueType::kString),
+                 Field("visits", ValueType::kInt),
+                 Field("spend", ValueType::kDouble),
+                 Field("device", ValueType::kInt)});
+  Table t(schema);
+  const char* cities[] = {"New York", "Paris", "Chicago", "Lima 1"};
+  Rng rng(13);
+  for (int i = 0; i < 48; ++i) {
+    int64_t visits = rng.UniformInt(1, 4);
+    Value spend = i % 11 == 5 ? Value::Null()
+                              : Value(0.5 * static_cast<double>(visits) +
+                                      static_cast<double>(i % 3));
+    EXPECT_TRUE(t.AppendRow({Value(cities[(i * 7) % 4]), Value(visits),
+                             spend, Value(rng.UniformInt(1, 3))})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(GreatSynthesizerTest, FitMatchesWholeTableReference) {
+  Table train = MixedFitTable();
+  GreatSynthesizer::Options neural = FastOptions();
+  neural.backbone = GreatSynthesizer::Backbone::kNeural;
+  neural.neural.epochs = 2;
+  neural.neural.context_window = 4;
+  neural.neural.embed_dim = 8;
+  neural.neural.hidden_dim = 16;
+  GreatSynthesizer::Options prior = FastOptions();
+  prior.prior_corpus = {"visits to New York and Paris", "Lima is far"};
+  prior.prior_weight = 0.5;
+  GreatSynthesizer::Options subsample = FastOptions();
+  subsample.max_training_sequences = 30;  // below 48 rows x 2 copies
+  GreatSynthesizer::Options neural_prior_subsample = neural;
+  neural_prior_subsample.prior_corpus = prior.prior_corpus;
+  neural_prior_subsample.max_training_sequences = 30;
+  const std::vector<std::pair<const char*, GreatSynthesizer::Options>>
+      configs = {{"ngram", FastOptions()},
+                 {"neural", neural},
+                 {"prior corpus", prior},
+                 {"max_training_sequences", subsample},
+                 {"neural + prior + subsample", neural_prior_subsample}};
+  for (auto [name, options] : configs) {
+    SCOPED_TRACE(name);
+    // Lenient: the weakly trained neural backbone may exhaust a row; the
+    // two runs must then exhaust the same rows.
+    options.policy = SamplePolicy::kLenient;
+    GreatSynthesizer reference(options);
+    Rng reference_rng(23);
+    ASSERT_TRUE(
+        WholeTableFitReference::Fit(&reference, train, &reference_rng).ok());
+    GreatSynthesizer fitted(options);
+    Rng fit_rng(23);
+    ASSERT_TRUE(fitted.Fit(train, &fit_rng).ok());
+
+    EXPECT_EQ(fitted.SerializeBinary().ValueOrDie(),
+              reference.SerializeBinary().ValueOrDie());
+    // The fit consumed exactly the reference's draws.
+    EXPECT_EQ(fit_rng.SaveState(), reference_rng.SaveState());
+    Rng fitted_sample_rng(99);
+    Rng reference_sample_rng(99);
+    Result<Table> fitted_rows =
+        fitted.SampleRows(25, &fitted_sample_rng, nullptr);
+    Result<Table> reference_rows =
+        reference.SampleRows(25, &reference_sample_rng, nullptr);
+    ASSERT_TRUE(fitted_rows.ok()) << fitted_rows.status();
+    ASSERT_TRUE(reference_rows.ok()) << reference_rows.status();
+    EXPECT_GT(fitted_rows->num_rows(), 0u);
+    EXPECT_EQ(*fitted_rows, *reference_rows);
+  }
 }
 
 TEST(GreatSynthesizerTest, PerplexityFiniteAfterFit) {
