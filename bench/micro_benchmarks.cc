@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -29,6 +30,7 @@
 #include "tabular/csv.h"
 #include "tabular/table_builder.h"
 #include "synth/great_synthesizer.h"
+#include "synth/textual_encoder.h"
 #include "text/bpe_tokenizer.h"
 #include "text/word_tokenizer.h"
 
@@ -147,6 +149,75 @@ void BM_NGramNextTokenRestricted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NGramNextTokenRestricted);
+
+// The oocore-csv shape: a 5000-user ads table (identifier columns
+// excluded), whose user_id column is a ~5000-wide allow-list — the
+// widest restricted evaluation streaming emission makes per row.
+DigixDataset MakeWideTrial() {
+  DigixOptions data;
+  data.num_users = 5000;
+  data.include_identifier_columns = false;
+  Rng rng(77);
+  return DigixGenerator(data).Generate(&rng).ValueOrDie();
+}
+
+void BM_NGramNextTokenRestrictedWide(benchmark::State& state) {
+  DigixDataset trial = MakeWideTrial();
+  GreatSynthesizer synth;
+  Rng rng(1);
+  if (!synth.Fit(trial.ads, &rng).ok()) state.SkipWithError("fit failed");
+  const auto& columns = synth.encoder().columns();
+  size_t user_col = 0;
+  while (user_col < columns.size() &&
+         columns[user_col].name != DigixGenerator::KeyColumn()) {
+    ++user_col;
+  }
+  if (user_col == columns.size()) {
+    state.SkipWithError("no user_id column");
+    return;
+  }
+  // Schema order with user_id moved last; the context ends at "user_id is",
+  // so the evaluation is the user_id value draw.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (i != user_col) order.push_back(i);
+  }
+  order.push_back(user_col);
+  TokenSequence row = synth.encoder().EncodeRow(trial.ads.GetRow(0), order);
+  auto name = std::find(row.begin(), row.end(), columns[user_col].name_token);
+  TokenSequence context(row.begin(), name + 2);
+  const std::vector<TokenId>& candidates = columns[user_col].value_tokens;
+  DecodeWorkspace ws;
+  std::vector<double> weights;
+  for (auto _ : state) {
+    synth.lm().NextTokenWeightsRestricted(context, candidates, &ws, &weights);
+    benchmark::DoNotOptimize(weights.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+}
+BENCHMARK(BM_NGramNextTokenRestrictedWide)->UseRealTime();
+
+// One shard counting the encoded 5000-user ads table at the default
+// order: the inner loop of NGramLm::FitStreaming.
+void BM_CountShardAccumulate(benchmark::State& state) {
+  DigixDataset trial = MakeWideTrial();
+  auto encoder = TextualEncoder::Build(trial.ads).ValueOrDie();
+  Rng rng(1);
+  std::vector<TokenSequence> sequences =
+      encoder.EncodeTable(trial.ads, &rng).ValueOrDie();
+  const size_t order = NGramLm::Options().order;
+  for (auto _ : state) {
+    CountShard shard(order);
+    for (const TokenSequence& seq : sequences) shard.Accumulate(seq);
+    benchmark::DoNotOptimize(shard.sequences());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sequences.size()));
+}
+BENCHMARK(BM_CountShardAccumulate)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NeuralNextTokenFull(benchmark::State& state) {
   constexpr size_t kVocab = 512;

@@ -46,9 +46,10 @@ class LanguageModel {
   /// candidates[i], proportional to NextTokenDistribution(context) gathered
   /// at the same ids (ids outside the vocabulary get weight 0). This is the
   /// constrained-decoding hot path: backbones override it to skip the
-  /// full-vocabulary work — O(h*|C|) logits in the neural model, per-
-  /// candidate count lookups in the n-gram model — so the cost of sampling
-  /// a value token scales with the column's vocabulary, not the table's.
+  /// full-vocabulary work — O(h*|C|) logits in the neural model, sorted
+  /// count runs merged against the list in the n-gram model — so the cost
+  /// of sampling a value token scales with the column's vocabulary, not
+  /// the table's.
   /// The base implementation computes the full distribution and gathers.
   ///
   /// Weights need not sum to 1; callers sample categorically, which

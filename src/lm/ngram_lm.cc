@@ -1,13 +1,16 @@
 #include "lm/ngram_lm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/artifact_io.h"
 #include "common/thread_pool.h"
+#include "lm/decode_cache.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace greater {
 namespace {
@@ -26,19 +29,78 @@ void AddUnitCounts(double* slot, uint64_t count) {
   for (uint64_t i = 0; i < count; ++i) *slot += 1.0;
 }
 
+// A slot's value after `count` prior-corpus occurrences of weight
+// `weight`: the serial `+= weight` sum the node-map fit accumulated.
+double PriorMass(double weight, uint64_t count) {
+  double mass = 0.0;
+  for (uint64_t i = 0; i < count; ++i) mass += weight;
+  return mass;
+}
+
+// One side of a run-vs-candidates merge is "much shorter" than the other
+// when walking it with a binary search per element beats a linear merge.
+constexpr size_t kGallopRatio = 8;
+
+// Allow-lists covering at least 1/kDenseRatio of the vocabulary are
+// evaluated as a full-vocabulary walk plus a gather.
+constexpr size_t kDenseRatio = 8;
+
 }  // namespace
 
 NGramLm::NGramLm(size_t vocab_size, const Options& options)
     : vocab_size_(vocab_size), options_(options) {
   options_.order = std::clamp<size_t>(options_.order, 2, kMaxOrder);
   levels_.resize(options_.order);  // context lengths 0 .. order-1
+  for (size_t k = 0; k < levels_.size(); ++k) levels_[k].ctx_len = k;
 }
 
-NGramLm::ContextKey NGramLm::PackContext(const TokenId* begin, size_t len) {
-  ContextKey key;
-  key.len = static_cast<uint32_t>(len);
-  for (size_t i = 0; i < len; ++i) key.ids[i] = begin[i];
-  return key;
+void NGramLm::Level::StartContext(const TokenId* ids, double total) {
+  context_ids.insert(context_ids.end(), ids, ids + ctx_len);
+  totals.push_back(total);
+  run_begin.push_back(tokens.size());
+}
+
+double NGramLm::Level::Lambda(size_t c) const {
+  double distinct = static_cast<double>(run_begin[c + 1] - run_begin[c]);
+  return totals[c] / (totals[c] + distinct);
+}
+
+void NGramLm::Level::Seal() {
+  run_begin.push_back(tokens.size());
+  // Each cell's interpolation term, computed once with the exact
+  // expression the node-map evaluation computed per lookup.
+  masses.resize(counts.size());
+  for (size_t c = 0; c < num_contexts(); ++c) {
+    const double lambda = Lambda(c);
+    for (size_t j = run_begin[c]; j < run_begin[c + 1]; ++j) {
+      masses[j] = lambda * counts[j] / totals[c];
+    }
+  }
+  size_t capacity = 2;
+  while (capacity < 2 * num_contexts()) capacity <<= 1;
+  index.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (size_t c = 0; c < num_contexts(); ++c) {
+    size_t slot =
+        HashTokenIds(context_ids.data() + c * ctx_len, ctx_len) & mask;
+    while (index[slot] != 0) slot = (slot + 1) & mask;
+    index[slot] = static_cast<uint32_t>(c + 1);
+  }
+}
+
+size_t NGramLm::Level::Find(const TokenId* ids) const {
+  if (index.empty()) return kNoContext;
+  const size_t mask = index.size() - 1;
+  size_t slot = HashTokenIds(ids, ctx_len) & mask;
+  for (;;) {
+    uint32_t entry = index[slot];
+    if (entry == 0) return kNoContext;
+    const size_t c = entry - 1;
+    if (std::equal(ids, ids + ctx_len, context_ids.data() + c * ctx_len)) {
+      return c;
+    }
+    slot = (slot + 1) & mask;
+  }
 }
 
 Status NGramLm::SetPriorCorpus(const std::vector<TokenSequence>& sequences) {
@@ -49,51 +111,64 @@ Status NGramLm::SetPriorCorpus(const std::vector<TokenSequence>& sequences) {
   return Status::OK();
 }
 
-void NGramLm::AccumulateSequence(const TokenSequence& sequence,
-                                 double weight) {
-  // Work on [bos, ...sequence, eos].
-  TokenSequence padded;
-  padded.reserve(sequence.size() + 2);
-  padded.push_back(Vocabulary::kBosId);
-  padded.insert(padded.end(), sequence.begin(), sequence.end());
-  padded.push_back(Vocabulary::kEosId);
-
-  for (size_t pos = 1; pos < padded.size(); ++pos) {
-    TokenId target = padded[pos];
-    size_t max_ctx = std::min(pos, options_.order - 1);
-    for (size_t ctx_len = 0; ctx_len <= max_ctx; ++ctx_len) {
-      ContextKey key =
-          PackContext(padded.data() + (pos - ctx_len), ctx_len);
-      ContextStats& stats = levels_[ctx_len][key];
-      stats.total += weight;
-      stats.counts[target] += weight;
-    }
+void NGramLm::FinalizeFromCounts(CountShard* counts) {
+  // The prior corpus is counted as integers too (unvalidated, like the
+  // historical fit); its fractional weight is applied per cell below.
+  CountShard prior_counts(options_.order);
+  const double weight = options_.prior_weight;
+  if (weight > 0.0) {
+    for (const TokenSequence& seq : prior_) prior_counts.Accumulate(seq);
   }
-}
+  for (size_t k = 0; k < levels_.size(); ++k) {
+    const std::vector<NGramCell> data = counts->TakeSortedLevel(k);
+    const std::vector<NGramCell> prior = prior_counts.TakeSortedLevel(k);
+    Level& level = levels_[k];
+    level.tokens.reserve(data.size() + prior.size());
+    level.counts.reserve(data.size() + prior.size());
 
-void NGramLm::FinalizeFromCounts(const CountShard& counts) {
-  // Prior corpus first, exactly as Fit has always ordered it: fractional
-  // weights accumulate serially, so their rounding history is independent
-  // of the shard plan.
-  if (options_.prior_weight > 0.0) {
-    for (const auto& seq : prior_) {
-      AccumulateSequence(seq, options_.prior_weight);
-    }
-  }
-  for (size_t k = 0; k < levels_.size() && k < counts.levels().size(); ++k) {
-    const CountShard::LevelCounts& src = counts.levels()[k];
-    LevelMap& dst = levels_[k];
-    dst.reserve(dst.size() + src.size());
-    for (const auto& [key, cell] : src) {
-      ContextStats& stats = dst[key];
-      if (stats.counts.empty()) {
-        stats.counts.reserve(cell.counts.size());
+    // Union of the two sorted cell lists, one context run at a time. A
+    // context's total is its prior mass then its unit increments, the
+    // order the node-map fit applied them in.
+    uint64_t data_total = 0, prior_total = 0;
+    auto close_context = [&] {
+      if (level.totals.empty()) return;
+      double total = PriorMass(weight, prior_total);
+      AddUnitCounts(&total, data_total);
+      level.totals.back() = total;
+    };
+    size_t i = 0, j = 0;
+    while (i < data.size() || j < prior.size()) {
+      const NGramCell* cell;
+      uint64_t n_data = 0, n_prior = 0;
+      if (j == prior.size() ||
+          (i < data.size() && data[i].ids < prior[j].ids)) {
+        cell = &data[i];
+        n_data = data[i++].count;
+      } else if (i == data.size() || prior[j].ids < data[i].ids) {
+        cell = &prior[j];
+        n_prior = prior[j++].count;
+      } else {
+        cell = &data[i];
+        n_data = data[i++].count;
+        n_prior = prior[j++].count;
       }
-      AddUnitCounts(&stats.total, cell.total);
-      for (const auto& [token, n] : cell.counts) {
-        AddUnitCounts(&stats.counts[token], n);
+      const TokenId* ids = cell->ids.data();
+      if (level.totals.empty() ||
+          !std::equal(ids, ids + k,
+                      level.context_ids.end() - static_cast<ptrdiff_t>(k))) {
+        close_context();
+        level.StartContext(ids, 0.0);
+        data_total = prior_total = 0;
       }
+      double value = PriorMass(weight, n_prior);
+      AddUnitCounts(&value, n_data);
+      level.tokens.push_back(ids[k]);
+      level.counts.push_back(value);
+      data_total += n_data;
+      prior_total += n_prior;
     }
+    close_context();
+    level.Seal();
   }
 }
 
@@ -165,12 +240,16 @@ Status NGramLm::CountShards(
         wave_status[i] = shards[shard].AccumulateChunk(*wave[i], vocab_size_);
       }
     };
-    if (pool != nullptr) {
-      // count == num_shards == wave.size() partitions to [j, j+1) per
-      // shard: wave position j accumulates into shards[j].
-      pool->ParallelFor(wave.size(), wave.size(), accumulate);
-    } else {
-      accumulate(0, 0, wave.size());
+    {
+      // Counting only: pulling the wave (parse, encode) stays outside.
+      Span count_span("lm.fit.count");
+      if (pool != nullptr) {
+        // count == num_shards == wave.size() partitions to [j, j+1) per
+        // shard: wave position j accumulates into shards[j].
+        pool->ParallelFor(wave.size(), wave.size(), accumulate);
+      } else {
+        accumulate(0, 0, wave.size());
+      }
     }
     for (size_t i = 0; i < wave.size(); ++i) {
       GREATER_RETURN_NOT_OK(wave_status[i]);
@@ -185,68 +264,24 @@ Status NGramLm::CountShards(
 
   // Fixed-order fold: shard 0 absorbs 1, then 2, ... Integer counts make
   // any order exact; the fixed order keeps the plan auditable.
-  Counter& merge_counter = metrics.GetCounter("lm.fit.shard_merges");
-  for (size_t s = 1; s < shards.size(); ++s) {
-    shards[0].Merge(std::move(shards[s]));
-    merge_counter.Increment();
+  {
+    Span merge_span("lm.fit.merge");
+    Counter& merge_counter = metrics.GetCounter("lm.fit.shard_merges");
+    for (size_t s = 1; s < shards.size(); ++s) {
+      shards[0].Merge(std::move(shards[s]));
+      merge_counter.Increment();
+    }
   }
-  FinalizeFromCounts(shards[0]);
+  {
+    Span finalize_span("lm.fit.finalize");
+    FinalizeFromCounts(&shards[0]);
+  }
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> NGramLm::NextTokenDistribution(
-    const TokenSequence& context) const {
-  // Base distribution: uniform over the vocabulary.
-  std::vector<double> dist(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  if (!fitted_) return dist;
-
-  // Effective context: implicit bos followed by the generated prefix.
-  TokenSequence padded;
-  padded.reserve(context.size() + 1);
-  padded.push_back(Vocabulary::kBosId);
-  padded.insert(padded.end(), context.begin(), context.end());
-
-  // Interpolate from short to long contexts (Witten–Bell): at each level,
-  // dist <- lambda * ML(level) + (1 - lambda) * dist.
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > padded.size()) break;
-    ContextKey key = PackContext(
-        padded.data() + (padded.size() - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;  // longer contexts unseen too
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
-    double keep = 1.0 - lambda;
-    for (double& p : dist) p *= keep;
-    for (const auto& [token, count] : stats.counts) {
-      dist[static_cast<size_t>(token)] += lambda * count / stats.total;
-    }
-  }
-  return dist;
-}
-
-void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
-                                         const std::vector<TokenId>& candidates,
-                                         DecodeWorkspace* ws,
-                                         std::vector<double>* out) const {
-  (void)ws;  // the n-gram fast path needs no scratch buffers
-  static Counter* fast_path =
-      &MetricsRegistry::Global().GetCounter("lm.restricted_fast_path");
-  fast_path->Increment();
-  // Per-candidate replay of the interpolation above, touching only the
-  // candidate counts. Each candidate's value goes through the identical
-  // multiply-then-add sequence as its slot in the full-vocabulary walk, so
-  // the result matches a gather of NextTokenDistribution bit for bit.
-  double base = 1.0 / static_cast<double>(vocab_size_);
-  out->assign(candidates.size(), 0.0);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    TokenId id = candidates[i];
-    if (id >= 0 && static_cast<size_t>(id) < vocab_size_) (*out)[i] = base;
-  }
-  if (!fitted_) return;
-
+template <typename Visit>
+void NGramLm::WalkLevels(const TokenSequence& context, Visit&& visit) const {
   // Only the last order-1 tokens of (bos + context) can be read; stage
   // them in a fixed-size buffer instead of materializing the prefix.
   std::array<TokenId, kMaxOrder> eff{};
@@ -256,26 +291,137 @@ void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
     size_t idx = padded_size - eff_len + j;
     eff[j] = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
   }
-
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > eff_len) break;
-    ContextKey key = PackContext(eff.data() + (eff_len - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
-    double keep = 1.0 - lambda;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      TokenId id = candidates[i];
-      if (id < 0 || static_cast<size_t>(id) >= vocab_size_) continue;
-      (*out)[i] *= keep;
-      auto count_it = stats.counts.find(id);
-      if (count_it != stats.counts.end()) {
-        (*out)[i] += lambda * count_it->second / stats.total;
-      }
-    }
+  // Interpolate from short to long contexts (Witten–Bell): at each level,
+  // p <- lambda * ML(level) + (1 - lambda) * p, where the lambda * ML term
+  // of each seen token is the cell's frozen mass.
+  for (size_t ctx_len = 0; ctx_len <= eff_len; ++ctx_len) {
+    const Level& level = levels_[ctx_len];
+    size_t c = level.Find(eff.data() + (eff_len - ctx_len));
+    if (c == Level::kNoContext) break;  // longer contexts unseen too
+    visit(level, c, 1.0 - level.Lambda(c));
   }
+}
+
+void NGramLm::DenseWalk(const TokenSequence& context,
+                        std::vector<double>* dist) const {
+  dist->assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
+  if (!fitted_) return;
+  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
+    for (double& p : *dist) p *= keep;
+    for (size_t j = level.run_begin[c]; j < level.run_begin[c + 1]; ++j) {
+      size_t token = static_cast<size_t>(level.tokens[j]);
+      if (token < dist->size()) (*dist)[token] += level.masses[j];
+    }
+  });
+}
+
+std::vector<double> NGramLm::NextTokenDistribution(
+    const TokenSequence& context) const {
+  std::vector<double> dist;
+  DenseWalk(context, &dist);
+  return dist;
+}
+
+void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
+                                         const std::vector<TokenId>& candidates,
+                                         DecodeWorkspace* ws,
+                                         std::vector<double>* out) const {
+  static Counter* fast_path =
+      &MetricsRegistry::Global().GetCounter("lm.restricted_fast_path");
+  fast_path->Increment();
+  // Each candidate's value goes through the identical multiply-then-add
+  // sequence as its slot in the full-vocabulary walk, so the result
+  // matches a gather of NextTokenDistribution bit for bit. Out-of-range
+  // candidates stay at zero.
+  const double base = 1.0 / static_cast<double>(vocab_size_);
+  const size_t n = candidates.size();
+  const TokenId* cand = candidates.data();
+  out->resize(n);
+  double* w = out->data();
+  bool ascending = true;  // strictly ascending and all in range
+  TokenId prev = -1;
+  for (size_t i = 0; i < n; ++i) {
+    TokenId id = cand[i];
+    bool in_range = id >= 0 && static_cast<size_t>(id) < vocab_size_;
+    w[i] = in_range ? base : 0.0;
+    ascending = ascending && in_range && id > prev;
+    prev = id;
+  }
+  if (!fitted_) return;
+
+  if (ws != nullptr && n * kDenseRatio >= vocab_size_) {
+    // Wide allow-list: the full-vocabulary walk in the workspace, then a
+    // gather — per level a vectorizable scale plus one scatter per seen
+    // token, instead of a merge step per candidate.
+    DenseWalk(context, &ws->probs);
+    for (size_t i = 0; i < n; ++i) {
+      size_t id = static_cast<size_t>(cand[i]);
+      if (cand[i] >= 0 && id < vocab_size_) w[i] = ws->probs[id];
+    }
+    return;
+  }
+
+  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
+    const size_t begin = level.run_begin[c];
+    const size_t m = level.run_begin[c + 1] - begin;
+    const TokenId* tok = level.tokens.data() + begin;
+    const double* mass = level.masses.data() + begin;
+    if (!ascending || n * kGallopRatio < m) {
+      // Unsorted or out-of-range candidates, or a run much longer than
+      // the list: binary-search each candidate in the run.
+      for (size_t i = 0; i < n; ++i) {
+        TokenId id = cand[i];
+        if (id < 0 || static_cast<size_t>(id) >= vocab_size_) continue;
+        w[i] *= keep;
+        const TokenId* hit = std::lower_bound(tok, tok + m, id);
+        if (hit != tok + m && *hit == id) w[i] += mass[hit - tok];
+      }
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) w[i] *= keep;
+    if (m * kGallopRatio < n) {
+      // Short run: binary-search each run token among the candidates.
+      const TokenId* lo = cand;
+      for (size_t j = 0; j < m; ++j) {
+        lo = std::lower_bound(lo, cand + n, tok[j]);
+        if (lo == cand + n) break;
+        if (*lo == tok[j]) w[lo - cand] += mass[j];
+      }
+      return;
+    }
+    // Comparable lengths: one linear merge with branch-free advances.
+    size_t i = 0, j = 0;
+    while (i < n && j < m) {
+      const TokenId a = cand[i], b = tok[j];
+      if (a == b) w[i] += mass[j];
+      i += a <= b;
+      j += b <= a;
+    }
+  });
+}
+
+double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
+                             DecodeWorkspace* ws) const {
+  (void)ws;
+  // Single-token replay of the interpolation: identical multiply-then-add
+  // sequence as the token's slot in NextTokenDistribution, so the result
+  // (and therefore Perplexity) is bitwise-unchanged — without the V-sized
+  // vector per scored token.
+  if (token < 0 || static_cast<size_t>(token) >= vocab_size_) {
+    return std::log(1e-300);
+  }
+  double p = 1.0 / static_cast<double>(vocab_size_);
+  if (!fitted_) return std::log(std::max(p, 1e-300));
+  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
+    p *= keep;
+    const TokenId* begin = level.tokens.data() + level.run_begin[c];
+    const TokenId* end = level.tokens.data() + level.run_begin[c + 1];
+    const TokenId* hit = std::lower_bound(begin, end, token);
+    if (hit != end && *hit == token) {
+      p += level.masses[static_cast<size_t>(hit - level.tokens.data())];
+    }
+  });
+  return std::log(std::max(p, 1e-300));
 }
 
 std::string NGramLm::SerializeBinary() const {
@@ -285,35 +431,20 @@ std::string NGramLm::SerializeBinary() const {
   w.PutF64(options_.prior_weight);
   w.PutBool(fitted_);
   w.PutU32(static_cast<uint32_t>(levels_.size()));
-  for (const LevelMap& level : levels_) {
-    // Sort entries by (len, ids) and counts by token id: unordered_map
-    // iteration order must never leak into the byte stream.
-    std::vector<const std::pair<const ContextKey, ContextStats>*> entries;
-    entries.reserve(level.size());
-    for (const auto& entry : level) entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) {
-                if (a->first.len != b->first.len) {
-                  return a->first.len < b->first.len;
-                }
-                return a->first.ids < b->first.ids;
-              });
-    w.PutU64(entries.size());
-    for (const auto* entry : entries) {
-      const ContextKey& key = entry->first;
-      const ContextStats& stats = entry->second;
-      w.PutU32(key.len);
-      for (uint32_t i = 0; i < key.len; ++i) {
-        w.PutU32(static_cast<uint32_t>(key.ids[i]));
+  // Levels are frozen in (context, token) order: written as they lie.
+  for (const Level& level : levels_) {
+    w.PutU64(level.num_contexts());
+    for (size_t c = 0; c < level.num_contexts(); ++c) {
+      w.PutU32(static_cast<uint32_t>(level.ctx_len));
+      for (size_t i = 0; i < level.ctx_len; ++i) {
+        w.PutU32(static_cast<uint32_t>(level.context_ids[c * level.ctx_len + i]));
       }
-      w.PutF64(stats.total);
-      std::vector<std::pair<TokenId, double>> counts(stats.counts.begin(),
-                                                     stats.counts.end());
-      std::sort(counts.begin(), counts.end());
-      w.PutU32(static_cast<uint32_t>(counts.size()));
-      for (const auto& [token, count] : counts) {
-        w.PutU32(static_cast<uint32_t>(token));
-        w.PutF64(count);
+      w.PutF64(level.totals[c]);
+      w.PutU32(static_cast<uint32_t>(level.run_begin[c + 1] -
+                                     level.run_begin[c]));
+      for (size_t j = level.run_begin[c]; j < level.run_begin[c + 1]; ++j) {
+        w.PutU32(static_cast<uint32_t>(level.tokens[j]));
+        w.PutF64(level.counts[j]);
       }
     }
   }
@@ -348,37 +479,75 @@ Status NGramLm::DeserializeBinary(std::string_view bytes) {
                             std::to_string(num_levels) +
                             " levels for order " + std::to_string(order));
   }
-  std::vector<LevelMap> levels(num_levels);
+  auto corrupt = [](const std::string& what) {
+    return Status::DataLoss("corrupt n-gram model: " + what);
+  };
+  auto valid_count = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  // The byte stream is already in frozen order, so the CSR levels are
+  // filled directly; every length is bounded by the bytes left before
+  // anything is reserved.
+  std::vector<Level> levels(num_levels);
   for (uint32_t l = 0; l < num_levels; ++l) {
+    Level& level = levels[l];
+    level.ctx_len = l;
+    // Smallest context entry: u32 length, l u32 ids, f64 total, u32
+    // count of cells; each cell is a u32 token and an f64 count.
+    const size_t entry_bytes = 4 + 4 * size_t{l} + 8 + 4;
+    const size_t cell_bytes = 4 + 8;
     uint64_t num_entries = 0;
     GREATER_RETURN_NOT_OK(r.GetU64(&num_entries));
-    levels[l].reserve(num_entries);
+    if (num_entries > r.remaining() / entry_bytes) {
+      return corrupt("level " + std::to_string(l) + " claims " +
+                     std::to_string(num_entries) + " contexts");
+    }
+    level.totals.reserve(num_entries);
+    level.run_begin.reserve(num_entries + 1);
+    level.context_ids.reserve(num_entries * l);
+    std::array<TokenId, kMaxOrder> ids{};
     for (uint64_t e = 0; e < num_entries; ++e) {
-      ContextKey key;
-      GREATER_RETURN_NOT_OK(r.GetU32(&key.len));
-      if (key.len >= kMaxOrder) {
-        return Status::DataLoss("corrupt n-gram model: context length " +
-                                std::to_string(key.len));
+      uint32_t len = 0;
+      GREATER_RETURN_NOT_OK(r.GetU32(&len));
+      if (len != l) {
+        return corrupt("context length " + std::to_string(len) +
+                       " at level " + std::to_string(l));
       }
-      for (uint32_t i = 0; i < key.len; ++i) {
+      for (uint32_t i = 0; i < len; ++i) {
         uint32_t id = 0;
         GREATER_RETURN_NOT_OK(r.GetU32(&id));
-        key.ids[i] = static_cast<TokenId>(id);
+        ids[i] = static_cast<TokenId>(id);
       }
-      ContextStats stats;
-      GREATER_RETURN_NOT_OK(r.GetF64(&stats.total));
+      if (e > 0) {
+        const TokenId* last = level.context_ids.data() + (e - 1) * l;
+        if (!std::lexicographical_compare(last, last + l, ids.data(),
+                                          ids.data() + l)) {
+          return corrupt("contexts at level " + std::to_string(l) +
+                         " unsorted or duplicated");
+        }
+      }
+      double total = 0.0;
+      GREATER_RETURN_NOT_OK(r.GetF64(&total));
+      if (!valid_count(total)) return corrupt("invalid context total");
       uint32_t num_counts = 0;
       GREATER_RETURN_NOT_OK(r.GetU32(&num_counts));
-      stats.counts.reserve(num_counts);
+      if (num_counts > r.remaining() / cell_bytes) {
+        return corrupt("context claims " + std::to_string(num_counts) +
+                       " counts");
+      }
+      level.StartContext(ids.data(), total);
       for (uint32_t c = 0; c < num_counts; ++c) {
         uint32_t token = 0;
         double count = 0.0;
         GREATER_RETURN_NOT_OK(r.GetU32(&token));
         GREATER_RETURN_NOT_OK(r.GetF64(&count));
-        stats.counts[static_cast<TokenId>(token)] = count;
+        if (c > 0 && static_cast<TokenId>(token) <= level.tokens.back()) {
+          return corrupt("tokens unsorted or duplicated");
+        }
+        if (!valid_count(count)) return corrupt("invalid token count");
+        level.tokens.push_back(static_cast<TokenId>(token));
+        level.counts.push_back(count);
       }
-      levels[l].emplace(key, std::move(stats));
     }
+    level.Seal();
   }
   GREATER_RETURN_NOT_OK(r.ExpectEnd());
   vocab_size_ = vocab_size;
@@ -399,44 +568,6 @@ Status NGramLm::Load(const std::string& path) {
                                "loading n-gram LM from '" + path + "'");
   return DeserializeBinary(bytes)
       .WithContext("loading n-gram LM from '" + path + "'");
-}
-
-double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
-                             DecodeWorkspace* ws) const {
-  (void)ws;
-  // Single-token replay of the interpolation: identical multiply-then-add
-  // sequence as the token's slot in NextTokenDistribution, so the result
-  // (and therefore Perplexity) is bitwise-unchanged — without the V-sized
-  // vector per scored token.
-  if (token < 0 || static_cast<size_t>(token) >= vocab_size_) {
-    return std::log(1e-300);
-  }
-  double p = 1.0 / static_cast<double>(vocab_size_);
-  if (!fitted_) return std::log(std::max(p, 1e-300));
-
-  std::array<TokenId, kMaxOrder> eff{};
-  size_t padded_size = context.size() + 1;
-  size_t eff_len = std::min(options_.order - 1, padded_size);
-  for (size_t j = 0; j < eff_len; ++j) {
-    size_t idx = padded_size - eff_len + j;
-    eff[j] = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
-  }
-  for (size_t ctx_len = 0; ctx_len < options_.order; ++ctx_len) {
-    if (ctx_len > eff_len) break;
-    ContextKey key = PackContext(eff.data() + (eff_len - ctx_len), ctx_len);
-    auto it = levels_[ctx_len].find(key);
-    if (it == levels_[ctx_len].end()) break;
-    const ContextStats& stats = it->second;
-    double distinct = static_cast<double>(stats.counts.size());
-    double lambda = stats.total / (stats.total + distinct);
-    double keep = 1.0 - lambda;
-    p *= keep;
-    auto count_it = stats.counts.find(token);
-    if (count_it != stats.counts.end()) {
-      p += lambda * count_it->second / stats.total;
-    }
-  }
-  return std::log(std::max(p, 1e-300));
 }
 
 }  // namespace greater

@@ -1,13 +1,11 @@
 #ifndef GREATER_LM_NGRAM_LM_H_
 #define GREATER_LM_NGRAM_LM_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "lm/count_shard.h"
@@ -75,17 +73,24 @@ class NGramLm : public LanguageModel {
   std::vector<double> NextTokenDistribution(
       const TokenSequence& context) const override;
 
-  /// Restricted path: Witten–Bell interpolation evaluated per candidate
-  /// (count lookups only for the candidate set), bitwise-identical to
-  /// gathering NextTokenDistribution at the candidate ids. Allocation-free
-  /// once `out` has capacity.
+  /// Restricted path: Witten–Bell interpolation evaluated on the
+  /// candidate set only, bitwise-identical to gathering
+  /// NextTokenDistribution at the candidate ids. Per level, every
+  /// candidate is scaled by (1 - lambda), then the context's sorted run
+  /// is merged against the candidates: a linear merge, or a walk of the
+  /// much shorter side with binary search into the other. Candidates that
+  /// are not strictly ascending or not all in the vocabulary fall back to
+  /// a binary search per candidate. Lists covering at least 1/8 of the
+  /// vocabulary, given a workspace, run the full-vocabulary walk in
+  /// `ws->probs` and gather. Allocation-free once `out` (and `ws->probs`)
+  /// have capacity.
   void NextTokenWeightsRestricted(const TokenSequence& context,
                                   const std::vector<TokenId>& candidates,
                                   DecodeWorkspace* ws,
                                   std::vector<double>* out) const override;
 
-  /// Single-token interpolation walk: O(order) count lookups instead of a
-  /// V-sized distribution per scored token, bitwise-identical to the
+  /// Single-token interpolation walk: one binary search per level instead
+  /// of a V-sized distribution per scored token, bitwise-identical to the
   /// full-distribution gather.
   double TokenLogProb(const TokenSequence& context, TokenId token,
                       DecodeWorkspace* ws) const override;
@@ -98,11 +103,14 @@ class NGramLm : public LanguageModel {
 
   const Options& options() const { return options_; }
 
-  /// Persistence (artifact kind "greater.ngram_lm"). Count tables are
-  /// written in sorted (context, token) order, so equal models serialize
-  /// to equal bytes and a loaded model reproduces the saved model's
-  /// distributions bit for bit. The prior corpus is not persisted — its
-  /// fractional counts are already folded into the tables at Fit.
+  /// Persistence (artifact kind "greater.ngram_lm"). The frozen levels
+  /// are already in sorted (context, token) order, so they are written as
+  /// they lie: equal models serialize to equal bytes and a loaded model
+  /// reproduces the saved model's distributions bit for bit. The prior
+  /// corpus is not persisted — its fractional counts are already folded
+  /// into the tables at Fit. The loader bounds every length field by the
+  /// bytes left and rejects unsorted or duplicate contexts and tokens and
+  /// non-finite or negative counts as kDataLoss.
   std::string SerializeBinary() const;
   Status DeserializeBinary(std::string_view bytes);
   Status Save(const std::string& path) const;
@@ -112,20 +120,37 @@ class NGramLm : public LanguageModel {
   static constexpr size_t kMaxOrder = kNGramMaxOrder;
 
  private:
-  struct ContextStats {
-    double total = 0.0;
-    std::unordered_map<TokenId, double> counts;
+  /// One order level of the frozen model — every context of length
+  /// `ctx_len` — in CSR form. Contexts are stored in ascending id order
+  /// (the serialized order), each owning a run of (token, count) cells
+  /// sorted by token; `index` is an open-addressed table mapping context
+  /// ids to their context number. Immutable once built.
+  struct Level {
+    static constexpr size_t kNoContext = ~size_t{0};
+
+    size_t ctx_len = 0;
+    std::vector<TokenId> context_ids;  ///< context c: [c*ctx_len, +ctx_len)
+    std::vector<double> totals;        ///< per context: total count mass
+    std::vector<size_t> run_begin;     ///< per context + end sentinel
+    std::vector<TokenId> tokens;       ///< per cell, ascending within a run
+    std::vector<double> counts;        ///< per cell
+    /// Per cell: lambda * count / total, the term the cell adds at its
+    /// level of the interpolation (derived in Seal, never serialized).
+    std::vector<double> masses;
+    std::vector<uint32_t> index;       ///< slot -> context + 1 (0 = empty)
+
+    size_t num_contexts() const { return totals.size(); }
+    /// Starts context `ids` (ctx_len ids); its cells are the tokens/counts
+    /// appended until the next StartContext or Seal.
+    void StartContext(const TokenId* ids, double total);
+    /// Closes the last run, derives the cell masses and builds the
+    /// context index.
+    void Seal();
+    /// Witten–Bell weight of context c: total / (total + distinct).
+    double Lambda(size_t c) const;
+    /// Context number of `ids` (ctx_len ids), or kNoContext.
+    size_t Find(const TokenId* ids) const;
   };
-
-  /// Packed context key + hash shared with the CountShard accumulators
-  /// (lm/count_shard.h) so integer shard tables and the final double
-  /// tables agree on identity.
-  using ContextKey = NGramContextKey;
-  using ContextKeyHash = NGramContextKeyHash;
-
-  // One map per order level; key = packed context ids.
-  using LevelMap =
-      std::unordered_map<ContextKey, ContextStats, ContextKeyHash>;
 
   /// One wave of chunks for the shard-counting core: at most one per
   /// shard, each readable until the next wave is pulled.
@@ -137,19 +162,27 @@ class NGramLm : public LanguageModel {
   Status CountShards(size_t num_shards,
                      const std::function<Status(ChunkWave* wave)>& next_wave);
 
-  static ContextKey PackContext(const TokenId* begin, size_t len);
-  void AccumulateSequence(const TokenSequence& sequence, double weight);
+  /// Freezes the merged integer counts into the CSR levels. Each cell's
+  /// double is built exactly as the historical node-map fit built it:
+  /// prior-corpus mass first (prior_weight added once per prior
+  /// occurrence), then the integer count applied as unit increments.
+  void FinalizeFromCounts(CountShard* counts);
 
-  /// Builds the final double tables from merged integer counts: prior
-  /// corpus first (serial, fractional weights — identical order to the
-  /// historical Fit), then each cell's integer count applied as unit
-  /// increments. Reserves every map exactly from the merged table sizes.
-  void FinalizeFromCounts(const CountShard& counts);
+  /// Interpolation walk shared by every evaluation: stages the last
+  /// order-1 tokens of bos + context, then calls
+  /// visit(level, context, keep) from the empty context upward, stopping
+  /// at the first unseen context (longer ones are unseen too).
+  template <typename Visit>
+  void WalkLevels(const TokenSequence& context, Visit&& visit) const;
+
+  /// The full-vocabulary distribution for `context`, written into `dist`.
+  void DenseWalk(const TokenSequence& context,
+                 std::vector<double>* dist) const;
 
   size_t vocab_size_;
   Options options_;
   bool fitted_ = false;
-  std::vector<LevelMap> levels_;  // levels_[k] holds contexts of length k
+  std::vector<Level> levels_;  // levels_[k] holds contexts of length k
   std::vector<TokenSequence> prior_;
 };
 

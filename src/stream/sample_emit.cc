@@ -89,9 +89,11 @@ Result<SampleReport> SampleRowsToCsvStreaming(
 
   // The chain covers everything that determines a chunk's bytes: the
   // trained model, the draw seed, and every emission option. Any change
-  // flips every chunk key, so stale checkpoints can never replay.
+  // flips every chunk key, so stale checkpoints can never replay. Chunk
+  // keys are read only by the checkpoint store, so without one the model
+  // is not serialized just to feed them.
   ChunkCheckpointer ckpt(options.checkpoint_dir, options.checkpoint_label);
-  {
+  if (ckpt.enabled()) {
     GREATER_ASSIGN_OR_RETURN(std::string model_bytes,
                              model.SerializeBinary());
     ckpt.Mix(model_bytes);

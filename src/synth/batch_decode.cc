@@ -85,6 +85,14 @@ void BatchDecodeEngine::PrepareLanes() {
   prefix_buf_.resize(lanes);
   if (num_columns_ > 64) lane_names_.resize(lanes);
   name_memo_used_ = 0;
+  // Frontier index reset per chunk, sized with 2x slack over the larger of
+  // the lane count and the memo entries the previous chunks reached, so
+  // steady-state chunks probe without growing it.
+  size_t memo_slots = 16;
+  while (memo_slots < 2 * std::max(lanes, name_memo_.size())) {
+    memo_slots <<= 1;
+  }
+  memo_table_.assign(memo_slots, -1);
   ctx_limit_ = synth_.lm_->context_dependence();
   allowed_.assign(lanes, nullptr);
   allow_id_.assign(lanes, kNoAllowList);
@@ -393,15 +401,19 @@ void BatchDecodeEngine::SelectAllowList(size_t lane) {
       for (size_t c = 0; c < num_columns_; ++c) {
         mask |= static_cast<uint64_t>(emitted[c]) << c;
       }
-      NameMemoEntry* entry = nullptr;
-      for (size_t i = 0; i < name_memo_used_; ++i) {
-        if (name_memo_[i].mask == mask) {
-          entry = &name_memo_[i];
-          break;
-        }
-      }
+      // O(1) frontier lookup: memo_table_ maps the mask to its entry.
+      size_t slot = MemoSlot(mask);
+      NameMemoEntry* entry =
+          memo_table_[slot] < 0
+              ? nullptr
+              : &name_memo_[static_cast<size_t>(memo_table_[slot])];
       if (entry == nullptr) {
+        if (2 * (name_memo_used_ + 1) > memo_table_.size()) {
+          GrowMemoTable();
+          slot = MemoSlot(mask);
+        }
         if (name_memo_used_ == name_memo_.size()) name_memo_.emplace_back();
+        memo_table_[slot] = static_cast<int32_t>(name_memo_used_);
         entry = &name_memo_[name_memo_used_++];
         entry->mask = mask;
         entry->names.clear();
@@ -445,6 +457,26 @@ void BatchDecodeEngine::SelectAllowList(size_t lane) {
       allowed_[lane] = &grammar.with_comma;
       allow_id_[lane] = grammar.with_comma_id;
     }
+  }
+}
+
+size_t BatchDecodeEngine::MemoSlot(uint64_t mask) const {
+  const size_t slot_mask = memo_table_.size() - 1;
+  uint64_t h = (mask ^ (mask >> 33)) * 0xff51afd7ed558ccdULL;
+  h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  size_t slot = h & slot_mask;
+  while (memo_table_[slot] >= 0 &&
+         name_memo_[static_cast<size_t>(memo_table_[slot])].mask != mask) {
+    slot = (slot + 1) & slot_mask;
+  }
+  return slot;
+}
+
+void BatchDecodeEngine::GrowMemoTable() {
+  memo_table_.assign(2 * memo_table_.size(), -1);
+  for (size_t i = 0; i < name_memo_used_; ++i) {
+    memo_table_[MemoSlot(name_memo_[i].mask)] = static_cast<int32_t>(i);
   }
 }
 

@@ -118,7 +118,8 @@ class BatchDecodeEngine {
   /// bitmask. Lanes at the same decode frontier share one list object (and
   /// one interned id), which is what lets name-state draws group even with
   /// the cache off. Entries live in a deque so the `allowed_` pointers a
-  /// step hands out stay stable while the memo grows.
+  /// step hands out stay stable while the memo grows; memo_table_ indexes
+  /// them by mask.
   struct NameMemoEntry {
     uint64_t mask = 0;
     AllowListId id = kNoAllowList;
@@ -170,6 +171,11 @@ class BatchDecodeEngine {
   /// SampleNext): a singleton group, bitwise as any grouped draw.
   TokenId DrawAlone(size_t lane);
   void CopyContext(size_t lane);
+  /// memo_table_ slot holding `mask`'s entry, or the empty slot where it
+  /// belongs (linear probing over name_memo_ masks).
+  size_t MemoSlot(uint64_t mask) const;
+  /// Doubles memo_table_ and re-inserts the chunk's entries.
+  void GrowMemoTable();
 
   /// The lane's accounting sink (per-lane since RunLanes: packed lanes may
   /// belong to different requests, each with its own report).
@@ -226,6 +232,9 @@ class BatchDecodeEngine {
   std::vector<std::vector<TokenId>> lane_names_;  ///< wide-schema fallback
   std::deque<NameMemoEntry> name_memo_;  ///< per-chunk mask -> name list
   size_t name_memo_used_ = 0;
+  /// Open-addressed mask -> name_memo_ index (-1 = empty), reset per chunk
+  /// in PrepareLanes and kept at most half full.
+  std::vector<int32_t> memo_table_;
   size_t ctx_limit_ = 0;  ///< lm context_dependence, hoisted per chunk
   std::vector<const std::vector<TokenId>*> allowed_;
   std::vector<AllowListId> allow_id_;

@@ -59,10 +59,15 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
     Rng fit_rng(options.fit_seed);
     GREATER_RETURN_NOT_OK(
         model.FitStreaming(fit_stage.ChunkSource(), &fit_rng));
-    GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
-    ArtifactWriter doc(StageCheckpointer::kKind, StageCheckpointer::kVersion);
-    doc.AddChunk("model", std::move(bytes));
-    stage.Store("oocore.model", doc);
+    // Serializing the model only feeds the store: skip it when
+    // checkpointing is off.
+    if (stage.enabled()) {
+      GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
+      ArtifactWriter doc(StageCheckpointer::kKind,
+                         StageCheckpointer::kVersion);
+      doc.AddChunk("model", std::move(bytes));
+      stage.Store("oocore.model", doc);
+    }
   }
   result.model_from_checkpoint = loaded;
   result.ingest = fit_stage.report();

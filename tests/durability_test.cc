@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
+#include "lm/ngram_lm.h"
 #include "obs/metrics.h"
 #include "semantic/mapping.h"
 #include "synth/great_synthesizer.h"
@@ -397,6 +398,83 @@ TEST_F(DurabilityTest, NGramSynthesizerSaveLoadSampleBitwise) {
         return options;
       },
       "ngram");
+}
+
+// One hand-built n-gram payload: vocab 10, order 2, fitted. Level 0 holds
+// the empty context, level 1 the contexts in `contexts`; each context is
+// {ids..., total, {(token, count)...}}.
+struct CraftedContext {
+  std::vector<uint32_t> ids;
+  double total = 0.0;
+  std::vector<std::pair<uint32_t, double>> counts;
+};
+
+std::string CraftNGramModel(uint64_t level1_entries,
+                            const std::vector<CraftedContext>& contexts,
+                            uint32_t level0_counts = 1) {
+  ByteWriter w;
+  w.PutU64(10);    // vocab size
+  w.PutU64(2);     // order
+  w.PutF64(0.0);   // prior weight
+  w.PutBool(true);
+  w.PutU32(2);     // levels
+  w.PutU64(1);     // level 0: the empty context
+  w.PutU32(0);
+  w.PutF64(4.0);
+  w.PutU32(level0_counts);
+  w.PutU32(5);
+  w.PutF64(4.0);
+  w.PutU64(level1_entries);
+  for (const CraftedContext& context : contexts) {
+    w.PutU32(static_cast<uint32_t>(context.ids.size()));
+    for (uint32_t id : context.ids) w.PutU32(id);
+    w.PutF64(context.total);
+    w.PutU32(static_cast<uint32_t>(context.counts.size()));
+    for (const auto& [token, count] : context.counts) {
+      w.PutU32(token);
+      w.PutF64(count);
+    }
+  }
+  ArtifactWriter doc("greater.ngram_lm", 1);
+  doc.AddChunk("model", std::move(w).Take());
+  return doc.Finish();
+}
+
+TEST(NGramSerdeTest, HostileLengthsAndOrderingFailTypedNeverThrow) {
+  const CraftedContext a{{4}, 2.0, {{5, 1.0}, {6, 1.0}}};
+  const CraftedContext b{{7}, 2.0, {{5, 2.0}}};
+  {
+    // The well-formed payload loads and evaluates.
+    NGramLm lm(1);
+    ASSERT_TRUE(lm.DeserializeBinary(CraftNGramModel(2, {a, b})).ok());
+    EXPECT_EQ(lm.vocab_size(), 10u);
+    EXPECT_GT(lm.NextTokenDistribution({4})[5], 0.1);
+  }
+  const double nan = std::nan("");
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"2^61 contexts", CraftNGramModel(uint64_t{1} << 61, {a, b})},
+      {"2^32-1 counts", CraftNGramModel(2, {a, b}, 0xffffffffu)},
+      {"unsorted contexts", CraftNGramModel(2, {b, a})},
+      {"duplicate contexts", CraftNGramModel(2, {a, a})},
+      {"unsorted tokens", CraftNGramModel(1, {{{4}, 2.0, {{6, 1.0}, {5, 1.0}}}})},
+      {"duplicate tokens", CraftNGramModel(1, {{{4}, 2.0, {{5, 1.0}, {5, 1.0}}}})},
+      {"NaN count", CraftNGramModel(1, {{{4}, 2.0, {{5, nan}}}})},
+      {"negative count", CraftNGramModel(1, {{{4}, 2.0, {{5, -1.0}}}})},
+      {"infinite total", CraftNGramModel(1, {{{4}, HUGE_VAL, {{5, 1.0}}}})},
+      {"context length off its level", CraftNGramModel(1, {{{4, 4}, 2.0, {}}})},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    NGramLm lm(3);
+    Status status;
+    EXPECT_NO_THROW(status = lm.DeserializeBinary(c.bytes));
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+    EXPECT_EQ(lm.vocab_size(), 3u);  // a failed load leaves the model as is
+    EXPECT_FALSE(lm.fitted());
+  }
 }
 
 TEST_F(DurabilityTest, NeuralSynthesizerSaveLoadSampleBitwise) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
 
+#include "common/rng.h"
+#include "datagen/digix.h"
+#include "lm/decode_cache.h"
 #include "lm/neural_lm.h"
 #include "lm/ngram_lm.h"
+#include "node_map_ngram_reference.h"
+#include "synth/textual_encoder.h"
 #include "text/vocabulary.h"
 
 namespace greater {
@@ -201,6 +209,195 @@ TEST_P(NGramOrderTest, LearnsPatternAtEveryOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, NGramOrderTest,
                          testing::Values(2, 3, 4, 5, 6, 7, 8));
+
+// ---------- NGramLm vs the node-map reference ----------
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool BitwiseEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Splits `sequences` into chunks of `chunk_size` (the last one ragged).
+std::vector<std::vector<TokenSequence>> Chunked(
+    const std::vector<TokenSequence>& sequences, size_t chunk_size) {
+  std::vector<std::vector<TokenSequence>> chunks;
+  for (size_t i = 0; i < sequences.size(); i += chunk_size) {
+    size_t end = std::min(sequences.size(), i + chunk_size);
+    chunks.emplace_back(sequences.begin() + static_cast<ptrdiff_t>(i),
+                        sequences.begin() + static_cast<ptrdiff_t>(end));
+  }
+  return chunks;
+}
+
+// Fits `lm` and the reference on the same chunks and shard count, then
+// asserts equal bytes and bitwise-equal evaluations on every prefix of the
+// probe sequences, under every allow-list.
+void ExpectMatchesReference(size_t vocab_size, const NGramLm::Options& options,
+                            const std::vector<TokenSequence>& prior,
+                            const std::vector<std::vector<TokenSequence>>& chunks,
+                            size_t num_shards,
+                            const std::vector<TokenSequence>& probes,
+                            const std::vector<std::vector<TokenId>>& lists,
+                            const std::string& label) {
+  SCOPED_TRACE(label + " shards=" + std::to_string(num_shards));
+  NodeMapNGramReference reference(vocab_size, options);
+  reference.SetPriorCorpus(prior);
+  reference.Fit(chunks, num_shards);
+
+  NGramLm lm(vocab_size, options);
+  ASSERT_TRUE(lm.SetPriorCorpus(prior).ok());
+  size_t next = 0;
+  Status fit = lm.FitStreaming(
+      [&]() -> Result<std::optional<std::vector<TokenSequence>>> {
+        if (next == chunks.size()) {
+          return std::optional<std::vector<TokenSequence>>();
+        }
+        return std::optional<std::vector<TokenSequence>>(chunks[next++]);
+      },
+      num_shards);
+  ASSERT_TRUE(fit.ok()) << fit;
+  ASSERT_EQ(lm.SerializeBinary(), reference.SerializeBinary());
+
+  std::vector<double> got, want;
+  DecodeWorkspace workspace;
+  for (const TokenSequence& probe : probes) {
+    for (size_t len = 0; len <= probe.size(); ++len) {
+      TokenSequence context(probe.begin(),
+                            probe.begin() + static_cast<ptrdiff_t>(len));
+      ASSERT_TRUE(BitwiseEqual(lm.NextTokenDistribution(context),
+                               reference.NextTokenDistribution(context)))
+          << "NextTokenDistribution at prefix " << len;
+      for (size_t l = 0; l < lists.size(); ++l) {
+        reference.NextTokenWeightsRestricted(context, lists[l], &want);
+        // Without a workspace every list takes the run-merge paths; with
+        // one, wide lists take the full-vocabulary walk.
+        for (DecodeWorkspace* ws : {static_cast<DecodeWorkspace*>(nullptr),
+                                    &workspace}) {
+          lm.NextTokenWeightsRestricted(context, lists[l], ws, &got);
+          ASSERT_TRUE(BitwiseEqual(got, want))
+              << "NextTokenWeightsRestricted list " << l << " prefix " << len
+              << (ws != nullptr ? " with" : " without") << " workspace";
+        }
+      }
+      // Out-of-range ids, a stride through the vocabulary, and the
+      // probe's own next token (seen at every level).
+      std::vector<TokenId> tokens = {-1, static_cast<TokenId>(vocab_size),
+                                     Vocabulary::kEosId};
+      for (size_t id = 0; id < vocab_size; id += 1 + vocab_size / 97) {
+        tokens.push_back(static_cast<TokenId>(id));
+      }
+      if (len < probe.size()) tokens.push_back(probe[len]);
+      for (TokenId token : tokens) {
+        ASSERT_TRUE(BitwiseEqual(lm.TokenLogProb(context, token, nullptr),
+                                 reference.TokenLogProb(context, token)))
+            << "TokenLogProb token " << token << " prefix " << len;
+      }
+    }
+  }
+}
+
+TEST(NGramLmTest, NGramMatchesNodeMapReference) {
+  // Random corpus over a small vocabulary: dense shared contexts, every
+  // order, with and without a fractional-weight prior corpus.
+  const size_t vocab_size = 14;
+  Rng rng(2024);
+  auto random_sequences = [&](size_t count) {
+    std::vector<TokenSequence> out(count);
+    for (TokenSequence& seq : out) {
+      size_t len = 1 + rng.Index(9);
+      for (size_t i = 0; i < len; ++i) {
+        seq.push_back(static_cast<TokenId>(
+            Vocabulary::kEosId + 1 +
+            rng.Index(vocab_size - Vocabulary::kEosId - 1)));
+      }
+    }
+    return out;
+  };
+  const std::vector<TokenSequence> corpus = random_sequences(240);
+  const std::vector<TokenSequence> prior = random_sequences(40);
+  const std::vector<TokenSequence> probes(corpus.begin(), corpus.begin() + 6);
+  std::vector<TokenId> wide;
+  for (size_t id = 0; id < vocab_size; ++id) {
+    wide.push_back(static_cast<TokenId>(id));
+  }
+  // Sorted wide, sorted narrow, unsorted with a duplicate and
+  // out-of-range ids, empty.
+  const std::vector<std::vector<TokenId>> lists = {
+      wide,
+      {5, static_cast<TokenId>(vocab_size - 1)},
+      {9, -1, 4, static_cast<TokenId>(vocab_size + 3), 4, 0},
+      {}};
+  for (size_t order = 2; order <= 8; ++order) {
+    for (double weight : {0.0, 0.37}) {
+      NGramLm::Options options;
+      options.order = order;
+      options.prior_weight = weight;
+      for (size_t shards : {1u, 2u, 3u}) {
+        ExpectMatchesReference(
+            vocab_size, options, prior, Chunked(corpus, 50), shards, probes,
+            lists,
+            "order=" + std::to_string(order) +
+                " prior=" + std::to_string(weight));
+      }
+    }
+  }
+
+  // A Digix ads table, identifier columns excluded: the high-cardinality
+  // user_id column makes a ~5000-wide allow-list.
+  DigixOptions data;
+  data.num_users = 5000;
+  data.include_identifier_columns = false;
+  Rng data_rng(7);
+  Result<DigixDataset> generated = DigixGenerator(data).Generate(&data_rng);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const Table& ads = generated->ads;
+  Result<TextualEncoder> encoder =
+      TextualEncoder::Build(ads, TextualEncoder::Options(), {});
+  ASSERT_TRUE(encoder.ok()) << encoder.status();
+  Rng encode_rng(11);
+  Result<std::vector<TokenSequence>> sequences =
+      encoder->EncodeTable(ads, &encode_rng);
+  ASSERT_TRUE(sequences.ok()) << sequences.status();
+  const size_t digix_vocab = encoder->vocab().size();
+
+  std::vector<TokenId> user_ids, narrow;
+  for (const EncodedColumn& column : encoder->columns()) {
+    if (column.name == DigixGenerator::KeyColumn()) {
+      user_ids = column.value_tokens;
+    } else if (narrow.empty() || column.value_tokens.size() < narrow.size()) {
+      narrow = column.value_tokens;
+    }
+  }
+  ASSERT_GE(user_ids.size(), 4000u);
+  std::vector<TokenId> scrambled(user_ids.rbegin(), user_ids.rend());
+  scrambled.push_back(-3);
+  scrambled.push_back(static_cast<TokenId>(digix_vocab + 10));
+  const std::vector<std::vector<TokenId>> digix_lists = {
+      user_ids, narrow, scrambled, {}};
+  // The first 3000 encoded rows keep the fits quick; the allow-lists
+  // still span the whole table's vocabulary.
+  const std::vector<TokenSequence> digix_corpus(sequences->begin(),
+                                                sequences->begin() + 3000);
+  const std::vector<TokenSequence> digix_prior(sequences->begin() + 3000,
+                                               sequences->begin() + 3300);
+  const std::vector<TokenSequence> digix_probes(sequences->begin() + 100,
+                                                sequences->begin() + 102);
+  for (double weight : {0.0, 0.37}) {
+    NGramLm::Options options;
+    options.prior_weight = weight;
+    for (size_t shards : {1u, 2u, 3u}) {
+      ExpectMatchesReference(digix_vocab, options, digix_prior,
+                             Chunked(digix_corpus, 700), shards, digix_probes,
+                             digix_lists,
+                             "digix prior=" + std::to_string(weight));
+    }
+  }
+}
 
 // ---------- NeuralLm ----------
 
