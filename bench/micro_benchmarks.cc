@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <system_error>
 
 #include "crosstable/flatten.h"
@@ -20,6 +21,7 @@
 #include "obs/span.h"
 #include "serve/synthesis_server.h"
 #include "serve/workload.h"
+#include "lm/decode_cache.h"
 #include "lm/neural_lm.h"
 #include "lm/ngram_lm.h"
 #include "stats/correlation.h"
@@ -161,12 +163,25 @@ DigixDataset MakeWideTrial() {
   return DigixGenerator(data).Generate(&rng).ValueOrDie();
 }
 
-void BM_NGramNextTokenRestrictedWide(benchmark::State& state) {
-  DigixDataset trial = MakeWideTrial();
+// A model fitted on the wide trial and one encoded row with user_id moved
+// last, so prefixes of the row reach the user_id value draws.
+struct WideUserIdShape {
   GreatSynthesizer synth;
+  TokenSequence row;
+  size_t name_pos = 0;  ///< index of the user_id name token in `row`
+  std::vector<TokenId> values;      ///< the user_id value allow-list
+  std::vector<TokenId> with_comma;  ///< values plus the comma token
+};
+
+// Fits the shape; false (with the benchmark skipped) on failure.
+bool BuildWideUserIdShape(benchmark::State& state, WideUserIdShape* shape) {
+  DigixDataset trial = MakeWideTrial();
   Rng rng(1);
-  if (!synth.Fit(trial.ads, &rng).ok()) state.SkipWithError("fit failed");
-  const auto& columns = synth.encoder().columns();
+  if (!shape->synth.Fit(trial.ads, &rng).ok()) {
+    state.SkipWithError("fit failed");
+    return false;
+  }
+  const auto& columns = shape->synth.encoder().columns();
   size_t user_col = 0;
   while (user_col < columns.size() &&
          columns[user_col].name != DigixGenerator::KeyColumn()) {
@@ -174,29 +189,98 @@ void BM_NGramNextTokenRestrictedWide(benchmark::State& state) {
   }
   if (user_col == columns.size()) {
     state.SkipWithError("no user_id column");
-    return;
+    return false;
   }
-  // Schema order with user_id moved last; the context ends at "user_id is",
-  // so the evaluation is the user_id value draw.
   std::vector<size_t> order;
   for (size_t i = 0; i < columns.size(); ++i) {
     if (i != user_col) order.push_back(i);
   }
   order.push_back(user_col);
-  TokenSequence row = synth.encoder().EncodeRow(trial.ads.GetRow(0), order);
-  auto name = std::find(row.begin(), row.end(), columns[user_col].name_token);
-  TokenSequence context(row.begin(), name + 2);
-  const std::vector<TokenId>& candidates = columns[user_col].value_tokens;
+  shape->row = shape->synth.encoder().EncodeRow(trial.ads.GetRow(0), order);
+  shape->name_pos = static_cast<size_t>(
+      std::find(shape->row.begin(), shape->row.end(),
+                columns[user_col].name_token) -
+      shape->row.begin());
+  shape->values = columns[user_col].value_tokens;
+  shape->with_comma = shape->values;
+  const TokenId comma = shape->synth.encoder().comma_token();
+  shape->with_comma.insert(std::lower_bound(shape->with_comma.begin(),
+                                            shape->with_comma.end(), comma),
+                           comma);
+  return true;
+}
+
+// The value-start draw: the context ends at "user_id is". On oocore-csv
+// this key recurs, so it is mostly a cache hit there.
+void BM_NGramNextTokenRestrictedWide(benchmark::State& state) {
+  WideUserIdShape shape;
+  if (!BuildWideUserIdShape(state, &shape)) return;
+  TokenSequence context(shape.row.begin(),
+                        shape.row.begin() + shape.name_pos + 2);
   DecodeWorkspace ws;
   std::vector<double> weights;
   for (auto _ : state) {
-    synth.lm().NextTokenWeightsRestricted(context, candidates, &ws, &weights);
+    shape.synth.lm().NextTokenWeightsRestricted(context, shape.values, &ws,
+                                                &weights);
     benchmark::DoNotOptimize(weights.data());
     benchmark::ClobberMemory();
   }
-  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["candidates"] = static_cast<double>(shape.values.size());
 }
 BENCHMARK(BM_NGramNextTokenRestrictedWide)->UseRealTime();
+
+// The after-value draw: the context ends at a user_id value token and
+// the list is every user_id value plus the comma. Each user id makes its
+// own key, so on oocore-csv this is the common wide miss.
+void BM_NGramNextTokenRestrictedWideAfterValue(benchmark::State& state) {
+  WideUserIdShape shape;
+  if (!BuildWideUserIdShape(state, &shape)) return;
+  TokenSequence context(shape.row.begin(),
+                        shape.row.begin() + shape.name_pos + 3);
+  DecodeWorkspace ws;
+  std::vector<double> weights;
+  for (auto _ : state) {
+    shape.synth.lm().NextTokenWeightsRestricted(context, shape.with_comma,
+                                                &ws, &weights);
+    benchmark::DoNotOptimize(weights.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["candidates"] = static_cast<double>(shape.with_comma.size());
+}
+BENCHMARK(BM_NGramNextTokenRestrictedWideAfterValue)->UseRealTime();
+
+// The oocore-csv miss path through the decode cache: resolve (evaluate and
+// fill) then draw, over after-value keys that never repeat — one key per
+// user id, and a fresh cache (outside the timing) once every id was used.
+void BM_DecodeCacheResolveMissWide(benchmark::State& state) {
+  WideUserIdShape shape;
+  if (!BuildWideUserIdShape(state, &shape)) return;
+  const LanguageModel& lm = shape.synth.lm();
+  const double temperature = shape.synth.options().temperature;
+  TokenSequence context(shape.row.begin(),
+                        shape.row.begin() + shape.name_pos + 3);
+  std::unique_ptr<DecodeCache> cache;
+  AllowListId allow_id = kNoAllowList;
+  DecodeWorkspace ws;
+  Rng rng(3);
+  size_t next = shape.values.size();
+  for (auto _ : state) {
+    if (next == shape.values.size()) {
+      state.PauseTiming();
+      cache = std::make_unique<DecodeCache>(DecodeCacheOptions{});
+      allow_id = cache->InternTransient(shape.with_comma);
+      next = 0;
+      state.ResumeTiming();
+    }
+    context.back() = shape.values[next++];
+    DecodeCache::ResolvedDist dist = cache->ResolveRestricted(
+        lm, context, shape.with_comma, allow_id, temperature, &ws);
+    benchmark::DoNotOptimize(
+        cache->DrawResolved(dist, shape.with_comma, &rng));
+  }
+  state.counters["candidates"] = static_cast<double>(shape.with_comma.size());
+}
+BENCHMARK(BM_DecodeCacheResolveMissWide)->UseRealTime();
 
 // One shard counting the encoded 5000-user ads table at the default
 // order: the inner loop of NGramLm::FitStreaming.

@@ -141,7 +141,8 @@ Result<DigixDataset> DigixGenerator::Generate(Rng* rng) const {
         size_t length = 2 + rng->Index(3);
         std::string seq = std::to_string(interest + 1);
         for (size_t j = 1; j < length; ++j) {
-          seq += "^" + std::to_string(rng->UniformInt(1, kNumFeedCategories));
+          seq += '^';
+          seq += std::to_string(rng->UniformInt(1, kNumFeedCategories));
         }
         history_pool[interest].push_back(std::move(seq));
       }
@@ -246,7 +247,8 @@ Result<DigixDataset> DigixGenerator::Generate(Rng* rng) const {
         row.push_back(Value(MakeHexId(rng, 12)));
         // i_entities: '^'-joined entity ids, essentially unique per row.
         std::string entities = MakeHexId(rng, 6);
-        entities += "^" + MakeHexId(rng, 6);
+        entities += '^';
+        entities += MakeHexId(rng, 6);
         row.push_back(Value(entities));
       }
       GREATER_RETURN_NOT_OK(feeds.AppendRow(std::move(row)));

@@ -57,6 +57,8 @@ class AliasTable {
 
   size_t size() const { return prob_.size(); }
   bool empty() const { return prob_.empty(); }
+  /// Buckets the columns can hold without reallocating.
+  size_t capacity() const { return prob_.capacity(); }
 
   /// Heap footprint of the two columns, for cache byte accounting.
   size_t MemoryBytes() const {

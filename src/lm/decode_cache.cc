@@ -30,6 +30,7 @@ uint64_t HashTokenSpan(const TokenId* ids, size_t len, uint64_t seed) {
 struct CacheCounters {
   Counter* hits;
   Counter* misses;
+  Counter* admitted;
   Counter* evictions;
   Gauge* bytes;
   Counter* sample_restricted;
@@ -37,6 +38,7 @@ struct CacheCounters {
     MetricsRegistry& registry = MetricsRegistry::Global();
     hits = &registry.GetCounter("lm.cache.hits");
     misses = &registry.GetCounter("lm.cache.misses");
+    admitted = &registry.GetCounter("lm.cache.admitted");
     evictions = &registry.GetCounter("lm.cache.evictions");
     bytes = &registry.GetGauge("lm.cache.bytes");
     sample_restricted = &registry.GetCounter("lm.sample_next_restricted");
@@ -111,12 +113,12 @@ void HiddenStateCache::Insert(const TokenId* window, size_t len,
 // ---------------------------------------------------------------------------
 // DecodeCache
 
-size_t DecodeCache::KeyHash::operator()(const Key& key) const {
+uint64_t DecodeCache::HashKey(const Key& key) {
   uint64_t h = HashTokenSpan(key.ctx.data(), key.ctx_len,
                              static_cast<uint64_t>(key.allow));
   h = MixStep(h, key.temp_bits);
   h = MixStep(h, key.ctx_len);
-  return static_cast<size_t>(h);
+  return h;
 }
 
 size_t DecodeCache::TransientHash::operator()(
@@ -127,6 +129,10 @@ size_t DecodeCache::TransientHash::operator()(
 DecodeCache::DecodeCache(const DecodeCacheOptions& options)
     : options_(options) {
   options_.capacity = std::max<size_t>(1, options_.capacity);
+  size_t positions = 2;
+  while (positions < 2 * options_.capacity) positions <<= 1;
+  index_.assign(positions, 0);
+  seen_.assign(positions, 0);
 }
 
 DecodeCache::~DecodeCache() {
@@ -152,16 +158,85 @@ bool DecodeCache::PackContext(const TokenSequence& context, size_t limit,
 }
 
 size_t DecodeCache::EntryBytes(const Entry& entry) const {
-  return sizeof(Entry) + entry.cdf.capacity() * sizeof(double) +
-         entry.alias.MemoryBytes();
+  return entry.cdf.capacity() * sizeof(double) + entry.alias.MemoryBytes();
 }
 
-DecodeCache::Entry& DecodeCache::Insert(const Key& key,
-                                        const std::vector<double>& weights) {
+void DecodeCache::Fill(const std::vector<double>& weights, bool keep_capacity,
+                       Entry* entry) {
+  const size_t before = EntryBytes(*entry);
+  // A slot last used for a wide list would otherwise keep that buffer
+  // behind every narrow list it holds later.
+  const size_t n = weights.size();
+  if (!keep_capacity && 2 * n < entry->cdf.capacity()) {
+    std::vector<double>().swap(entry->cdf);
+  }
+  if (!keep_capacity && 2 * n < entry->alias.capacity()) {
+    entry->alias = AliasTable();
+  }
+  // The cumulative table replays Rng::Categorical's left-to-right running
+  // sum bit for bit; the alias table is the O(1) kernel. Build only what
+  // the configured mode draws from.
+  double cum = 0.0;
+  if (options_.mode == DecodeMode::kExactReplay) {
+    if (entry->cdf.capacity() < n) entry->cdf.clear();  // grow without a copy
+    entry->cdf.resize(n);
+    double* cdf = entry->cdf.data();
+    for (size_t i = 0; i < n; ++i) {
+      cum += weights[i];
+      cdf[i] = cum;
+    }
+    entry->total = cum;
+  } else {
+    for (double w : weights) cum += w;
+    entry->total = cum;
+    // A zero total is drawn uniformly without the table (see Draw).
+    if (entry->total > 0.0) entry->alias.Build(weights, entry->total);
+  }
+  const size_t after = EntryBytes(*entry);
+  if (after != before) {
+    bytes_ = bytes_ + after - before;
+    GetCacheCounters().bytes->Add(static_cast<double>(after) -
+                                  static_cast<double>(before));
+  }
+}
+
+size_t DecodeCache::FindPosition(const Key& key, uint64_t hash) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = static_cast<size_t>(hash) & mask;
+  for (;;) {
+    const uint32_t member = index_[pos];
+    if (member == 0) return pos;
+    const Entry& entry = slots_[member - 1];
+    if (entry.hash == hash && entry.key == key) return pos;
+    pos = (pos + 1) & mask;
+  }
+}
+
+void DecodeCache::EraseAt(size_t pos) {
+  // Backward-shift deletion: a later member of the cluster moves into the
+  // hole when the hole lies on its probe path (between its home position
+  // and where it sits), which keeps every remaining key reachable.
+  const size_t mask = index_.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (pos + 1) & mask; index_[next] != 0;
+       next = (next + 1) & mask) {
+    const size_t home =
+        static_cast<size_t>(slots_[index_[next] - 1].hash) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = 0;
+}
+
+DecodeCache::Entry& DecodeCache::Admit(const Key& key, uint64_t hash) {
   uint32_t slot;
   if (slots_.size() < options_.capacity) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
+    bytes_ += sizeof(Entry);
+    GetCacheCounters().bytes->Add(static_cast<double>(sizeof(Entry)));
   } else {
     // Second-chance (clock) eviction: skip recently referenced entries
     // once, evict the first unreferenced one the hand reaches.
@@ -176,39 +251,16 @@ DecodeCache::Entry& DecodeCache::Insert(const Key& key,
       clock_hand_ = (clock_hand_ + 1) % slots_.size();
       break;
     }
-    Entry& victim = slots_[slot];
-    bytes_ -= EntryBytes(victim);
-    GetCacheCounters().bytes->Add(-static_cast<double>(EntryBytes(victim)));
-    index_.erase(victim.key);
+    const Entry& victim = slots_[slot];
+    EraseAt(FindPosition(victim.key, victim.hash));
     ++stats_.evictions;
     GetCacheCounters().evictions->Increment();
   }
-
   Entry& entry = slots_[slot];
   entry.key = key;
+  entry.hash = hash;
   entry.referenced = 0;
-  // The cumulative table replays Rng::Categorical's left-to-right running
-  // sum bit for bit; the alias table is the O(1) kernel. Build only what
-  // the configured mode draws from.
-  entry.cdf.clear();
-  entry.alias = AliasTable();
-  double cum = 0.0;
-  if (options_.mode == DecodeMode::kExactReplay) {
-    entry.cdf.reserve(weights.size());
-    for (double w : weights) {
-      cum += w;
-      entry.cdf.push_back(cum);
-    }
-    entry.total = cum;
-  } else {
-    for (double w : weights) cum += w;
-    entry.total = cum;
-    if (entry.total > 0.0) entry.alias.Build(weights, entry.total);
-  }
-  size_t added = EntryBytes(entry);
-  bytes_ += added;
-  GetCacheCounters().bytes->Add(static_cast<double>(added));
-  index_[key] = slot;
+  index_[FindPosition(key, hash)] = slot + 1;
   return entry;
 }
 
@@ -262,14 +314,15 @@ DecodeCache::ResolvedDist DecodeCache::ResolveRestricted(
   std::memcpy(&temp_bits, &temperature, sizeof(temp_bits));
   key.temp_bits = temp_bits;
 
+  const uint64_t hash = HashKey(key);
   GetCacheCounters().sample_restricted->Increment();
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Entry& entry = slots_[it->second];
-    entry.referenced = 1;
+  const size_t pos = FindPosition(key, hash);
+  if (index_[pos] != 0) {
+    const uint32_t slot = index_[pos] - 1;
+    slots_[slot].referenced = 1;
     ++stats_.hits;
     GetCacheCounters().hits->Increment();
-    dist.slot = it->second;
+    dist.slot = slot;
     dist.cacheable = true;
     return dist;
   }
@@ -277,17 +330,31 @@ DecodeCache::ResolvedDist DecodeCache::ResolveRestricted(
   GetCacheCounters().misses->Increment();
   lm.NextTokenWeightsRestricted(context, candidates, ws, &ws->weights);
   ApplyTemperatureShaping(&ws->weights, temperature);
-  Insert(key, ws->weights);
-  dist.slot = index_.find(key)->second;
   dist.cacheable = true;
+  // Admission on the second sighting: the first miss of a key only leaves
+  // its fingerprint behind. A fingerprint collision admits a key early or
+  // late, never wrongly: the index compares whole keys.
+  const size_t seen_pos = static_cast<size_t>(hash >> 32) & (seen_.size() - 1);
+  const uint32_t fingerprint = static_cast<uint32_t>(hash) | 1u;
+  if (seen_[seen_pos] != fingerprint) {
+    seen_[seen_pos] = fingerprint;
+    Fill(ws->weights, /*keep_capacity=*/true, &scratch_);
+    dist.slot = kScratchSlot;
+    return dist;
+  }
+  ++stats_.admitted;
+  GetCacheCounters().admitted->Increment();
+  Entry& entry = Admit(key, hash);
+  Fill(ws->weights, /*keep_capacity=*/false, &entry);
+  dist.slot = static_cast<uint32_t>(&entry - slots_.data());
   return dist;
 }
 
 TokenId DecodeCache::DrawResolved(const ResolvedDist& dist,
                                   const std::vector<TokenId>& candidates,
                                   Rng* rng) const {
-  assert(dist.cacheable && dist.slot < slots_.size());
-  return Draw(slots_[dist.slot], candidates, rng);
+  assert(dist.cacheable);
+  return Draw(EntryOf(dist), candidates, rng);
 }
 
 void DecodeCache::DrawResolvedMany(const ResolvedDist& dist,
@@ -295,8 +362,8 @@ void DecodeCache::DrawResolvedMany(const ResolvedDist& dist,
                                    Rng* const* rngs, size_t count,
                                    TokenId* out,
                                    std::vector<size_t>* scratch) const {
-  assert(dist.cacheable && dist.slot < slots_.size());
-  const Entry& entry = slots_[dist.slot];
+  assert(dist.cacheable);
+  const Entry& entry = EntryOf(dist);
   if (entry.total <= 0.0 || candidates.empty()) {
     // Zero candidate mass: Draw's uniform degradation path, per lane.
     for (size_t k = 0; k < count; ++k) {

@@ -40,7 +40,8 @@ struct DecodeCacheOptions {
   /// pre-cache reference behaviour).
   bool enabled = true;
   /// Maximum distribution entries per cache (second-chance eviction above
-  /// this bound).
+  /// this bound). A key takes an entry on its second miss; a key missed
+  /// once is served from one reusable scratch entry.
   size_t capacity = 4096;
   DecodeMode mode = DecodeMode::kExactReplay;
   /// Neural backbone only: memoize context-window -> hidden-layer vectors
@@ -144,16 +145,26 @@ struct DecodeWorkspace {
 /// on (LanguageModel::context_dependence), which is what makes encoded
 /// rows that share templates hit the cache thousands of times per run.
 ///
+/// Admission: a key takes an entry only on its second miss. The first
+/// miss records the key's fingerprint in a direct-mapped array and fills
+/// one reusable scratch entry that is never indexed; keys that never
+/// recur therefore cost no eviction and leave no buffer behind. Entries
+/// are found through a flat open-addressed table of slot numbers sized
+/// once at construction, so indexing a key or dropping one never
+/// allocates.
+///
 /// Determinism: in kExactReplay mode every draw is bitwise-identical to
 /// LanguageModel::SampleNext with the same arguments, including Rng stream
-/// advance (golden-tested). Counters lm.cache.{hits,misses,evictions} and
-/// the lm.cache.bytes gauge track the global registry; per-instance
+/// advance (golden-tested); scratch and indexed entries share one fill and
+/// draw path. Counters lm.cache.{hits,misses,admitted,evictions} and the
+/// lm.cache.bytes gauge track the global registry; per-instance
 /// LocalStats back unit tests without registry coupling.
 class DecodeCache {
  public:
   struct LocalStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
+    uint64_t admitted = 0;  ///< misses that took an entry (second sighting)
     uint64_t evictions = 0;
     uint64_t uncacheable = 0;  ///< draws bypassing the cache entirely
   };
@@ -184,15 +195,17 @@ class DecodeCache {
   /// Handle to a resolved distribution, for the batched decode engine's
   /// one-evaluation-per-group draws. Valid only until the next
   /// ResolveRestricted / SampleRestricted call on this cache (resolution
-  /// may insert, which can evict or move slot storage).
+  /// may insert, which can evict or move slot storage, or refill the
+  /// scratch entry).
   struct ResolvedDist {
-    uint32_t slot = 0;
+    uint32_t slot = 0;       ///< indexed slot, or the scratch entry
     bool cacheable = false;  ///< false: fall back to per-lane sampling
   };
 
-  /// Looks up or computes (and inserts) the restricted distribution
-  /// WITHOUT drawing, counting one hit or miss — so one resolution can
-  /// serve a draw for every lane of a batch group. Returns
+  /// Looks up or computes the restricted distribution WITHOUT drawing,
+  /// counting one hit or miss — so one resolution can serve a draw for
+  /// every lane of a batch group. A miss inserts the distribution when the
+  /// key was missed before, and otherwise fills the scratch entry. Returns
   /// cacheable=false (and counts nothing) when the cache is disabled,
   /// `allow_id` is kNoAllowList, or the context window is unpackable.
   ResolvedDist ResolveRestricted(const LanguageModel& lm,
@@ -223,7 +236,10 @@ class DecodeCache {
                         std::vector<size_t>* scratch) const;
 
   const LocalStats& stats() const { return stats_; }
-  size_t size() const { return index_.size(); }
+  /// Indexed (admitted) entries.
+  size_t size() const { return slots_.size(); }
+  /// One header per slot plus every draw table's capacity, the scratch
+  /// entry's included (the fixed index arrays are not counted).
   size_t bytes() const { return bytes_; }
   const DecodeCacheOptions& options() const { return options_; }
 
@@ -231,6 +247,8 @@ class DecodeCache {
   static constexpr size_t kMaxKeyTokens = 16;
   /// Transient allow-list ids start here (still < kNoAllowList).
   static constexpr AllowListId kTransientBase = 0x80000000u;
+  /// ResolvedDist::slot of the scratch entry.
+  static constexpr uint32_t kScratchSlot = 0xffffffffu;
 
   struct Key {
     std::array<TokenId, kMaxKeyTokens> ctx{};
@@ -242,11 +260,9 @@ class DecodeCache {
              temp_bits == other.temp_bits && ctx == other.ctx;
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
   struct Entry {
     Key key;
+    uint64_t hash = 0;        ///< HashKey(key), for index probing
     std::vector<double> cdf;  ///< kExactReplay: running weight sums
     double total = 0.0;       ///< left-to-right weight sum (cdf.back())
     AliasTable alias;         ///< kAlias: O(1) draw kernel
@@ -256,19 +272,41 @@ class DecodeCache {
     size_t operator()(const std::vector<TokenId>& ids) const;
   };
 
+  static uint64_t HashKey(const Key& key);
+
   /// Packs the trailing `limit`-token window of (bos + context) into
   /// `key`. False when the window exceeds kMaxKeyTokens (uncacheable).
   static bool PackContext(const TokenSequence& context, size_t limit,
                           Key* key);
 
   size_t EntryBytes(const Entry& entry) const;
-  Entry& Insert(const Key& key, const std::vector<double>& weights);
+  /// Builds the draw table of `weights` into `entry`. A buffer more than
+  /// twice the list's size is released first unless `keep_capacity`.
+  void Fill(const std::vector<double>& weights, bool keep_capacity,
+            Entry* entry);
+  /// Index position holding `key`'s slot + 1, or the empty position that
+  /// ends its probe sequence.
+  size_t FindPosition(const Key& key, uint64_t hash) const;
+  /// Removes the index position `pos`, shifting later members of its
+  /// probe cluster back so no tombstone is left.
+  void EraseAt(size_t pos);
+  /// Takes a slot for `key` (a new one below capacity, else the clock's
+  /// victim) and indexes it; the caller fills it.
+  Entry& Admit(const Key& key, uint64_t hash);
+  const Entry& EntryOf(const ResolvedDist& dist) const {
+    return dist.slot == kScratchSlot ? scratch_ : slots_[dist.slot];
+  }
   TokenId Draw(const Entry& entry, const std::vector<TokenId>& candidates,
                Rng* rng) const;
 
   DecodeCacheOptions options_;
   std::vector<Entry> slots_;
-  std::unordered_map<Key, uint32_t, KeyHash> index_;
+  /// Open-addressed index: slot + 1 per position, 0 = empty; a power of
+  /// two >= 2 * capacity, linear probing.
+  std::vector<uint32_t> index_;
+  /// Direct-mapped fingerprints of keys missed once (0 = empty).
+  std::vector<uint32_t> seen_;
+  Entry scratch_;  ///< first-sighting distributions; never indexed
   size_t clock_hand_ = 0;
   size_t bytes_ = 0;
   LocalStats stats_;

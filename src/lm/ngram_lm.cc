@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -41,8 +42,9 @@ double PriorMass(double weight, uint64_t count) {
 // when walking it with a binary search per element beats a linear merge.
 constexpr size_t kGallopRatio = 8;
 
-// Allow-lists covering at least 1/kDenseRatio of the vocabulary are
-// evaluated as a full-vocabulary walk plus a gather.
+// An allow-list covering at least 1/kDenseRatio of the vocabulary is
+// evaluated as a full-vocabulary walk plus a gather when its seen runs
+// are long too (see NextTokenWeightsRestricted).
 constexpr size_t kDenseRatio = 8;
 
 }  // namespace
@@ -52,6 +54,7 @@ NGramLm::NGramLm(size_t vocab_size, const Options& options)
   options_.order = std::clamp<size_t>(options_.order, 2, kMaxOrder);
   levels_.resize(options_.order);  // context lengths 0 .. order-1
   for (size_t k = 0; k < levels_.size(); ++k) levels_[k].ctx_len = k;
+  BuildFloor();
 }
 
 void NGramLm::Level::StartContext(const TokenId* ids, double total) {
@@ -277,11 +280,30 @@ Status NGramLm::CountShards(
     FinalizeFromCounts(&shards[0]);
   }
   fitted_ = true;
+  BuildFloor();
   return Status::OK();
 }
 
-template <typename Visit>
-void NGramLm::WalkLevels(const TokenSequence& context, Visit&& visit) const {
+void NGramLm::BuildFloor() {
+  // Level 0 is the same for every context, so its step of the walk
+  // (uniform start, times keep, plus the cell's mass) is done once here
+  // with the walk's expressions.
+  floor_.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
+  const Level& unigram = levels_[0];
+  if (!fitted_ || unigram.num_contexts() == 0) return;
+  const double keep = 1.0 - unigram.Lambda(0);
+  for (double& p : floor_) p *= keep;
+  for (size_t j = unigram.run_begin[0]; j < unigram.run_begin[1]; ++j) {
+    size_t token = static_cast<size_t>(unigram.tokens[j]);
+    if (token < floor_.size()) floor_[token] += unigram.masses[j];
+  }
+}
+
+size_t NGramLm::FindRuns(const TokenSequence& context,
+                         SeenRuns* runs) const {
+  // The floor stands in for level 0. An unfitted model, or one without a
+  // level-0 context (loader-reachable only), stays on its uniform floor.
+  if (!fitted_ || levels_[0].num_contexts() == 0) return 0;
   // Only the last order-1 tokens of (bos + context) can be read; stage
   // them in a fixed-size buffer instead of materializing the prefix.
   std::array<TokenId, kMaxOrder> eff{};
@@ -291,34 +313,41 @@ void NGramLm::WalkLevels(const TokenSequence& context, Visit&& visit) const {
     size_t idx = padded_size - eff_len + j;
     eff[j] = idx == 0 ? Vocabulary::kBosId : context[idx - 1];
   }
-  // Interpolate from short to long contexts (Witten–Bell): at each level,
-  // p <- lambda * ML(level) + (1 - lambda) * p, where the lambda * ML term
-  // of each seen token is the cell's frozen mass.
-  for (size_t ctx_len = 0; ctx_len <= eff_len; ++ctx_len) {
+  size_t count = 0;
+  for (size_t ctx_len = 1; ctx_len <= eff_len; ++ctx_len) {
     const Level& level = levels_[ctx_len];
     size_t c = level.Find(eff.data() + (eff_len - ctx_len));
     if (c == Level::kNoContext) break;  // longer contexts unseen too
-    visit(level, c, 1.0 - level.Lambda(c));
+    const size_t begin = level.run_begin[c];
+    (*runs)[count++] = {level.tokens.data() + begin,
+                        level.masses.data() + begin,
+                        level.run_begin[c + 1] - begin, 1.0 - level.Lambda(c)};
   }
+  return count;
 }
 
-void NGramLm::DenseWalk(const TokenSequence& context,
+void NGramLm::DenseWalk(const SeenRuns& runs, size_t count,
                         std::vector<double>* dist) const {
-  dist->assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  if (!fitted_) return;
-  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
-    for (double& p : *dist) p *= keep;
-    for (size_t j = level.run_begin[c]; j < level.run_begin[c + 1]; ++j) {
-      size_t token = static_cast<size_t>(level.tokens[j]);
-      if (token < dist->size()) (*dist)[token] += level.masses[j];
+  // Interpolate from short to long contexts (Witten–Bell): at each level,
+  // p <- lambda * ML(level) + (1 - lambda) * p, where the lambda * ML term
+  // of each seen token is the cell's frozen mass.
+  dist->assign(floor_.begin(), floor_.end());
+  for (size_t k = 0; k < count; ++k) {
+    const SeenRun& run = runs[k];
+    for (double& p : *dist) p *= run.keep;
+    for (size_t j = 0; j < run.size; ++j) {
+      size_t token = static_cast<size_t>(run.tokens[j]);
+      if (token < dist->size()) (*dist)[token] += run.masses[j];
     }
-  });
+  }
 }
 
 std::vector<double> NGramLm::NextTokenDistribution(
     const TokenSequence& context) const {
+  SeenRuns runs;
+  const size_t count = FindRuns(context, &runs);
   std::vector<double> dist;
-  DenseWalk(context, &dist);
+  DenseWalk(runs, count, &dist);
   return dist;
 }
 
@@ -333,50 +362,53 @@ void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
   // sequence as its slot in the full-vocabulary walk, so the result
   // matches a gather of NextTokenDistribution bit for bit. Out-of-range
   // candidates stay at zero.
-  const double base = 1.0 / static_cast<double>(vocab_size_);
   const size_t n = candidates.size();
   const TokenId* cand = candidates.data();
   out->resize(n);
   double* w = out->data();
-  bool ascending = true;  // strictly ascending and all in range
-  TokenId prev = -1;
-  for (size_t i = 0; i < n; ++i) {
-    TokenId id = cand[i];
-    bool in_range = id >= 0 && static_cast<size_t>(id) < vocab_size_;
-    w[i] = in_range ? base : 0.0;
-    ascending = ascending && in_range && id > prev;
-    prev = id;
-  }
-  if (!fitted_) return;
-
-  if (ws != nullptr && n * kDenseRatio >= vocab_size_) {
-    // Wide allow-list: the full-vocabulary walk in the workspace, then a
-    // gather — per level a vectorizable scale plus one scatter per seen
-    // token, instead of a merge step per candidate.
-    DenseWalk(context, &ws->probs);
+  auto in_range = [&](TokenId id) {
+    return id >= 0 && static_cast<size_t>(id) < vocab_size_;
+  };
+  SeenRuns runs;
+  const size_t count = FindRuns(context, &runs);
+  size_t run_cells = 0;
+  for (size_t k = 0; k < count; ++k) run_cells += runs[k].size;
+  if (ws != nullptr && n * kDenseRatio >= vocab_size_ && run_cells >= n) {
+    // Wide list against long runs: the full-vocabulary walk in the
+    // workspace, then a gather — per level a vectorizable scale plus one
+    // scatter per seen token, instead of a merge step per candidate.
+    DenseWalk(runs, count, &ws->probs);
     for (size_t i = 0; i < n; ++i) {
-      size_t id = static_cast<size_t>(cand[i]);
-      if (cand[i] >= 0 && id < vocab_size_) w[i] = ws->probs[id];
+      w[i] = in_range(cand[i]) ? ws->probs[static_cast<size_t>(cand[i])] : 0.0;
     }
     return;
   }
 
-  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
-    const size_t begin = level.run_begin[c];
-    const size_t m = level.run_begin[c + 1] - begin;
-    const TokenId* tok = level.tokens.data() + begin;
-    const double* mass = level.masses.data() + begin;
+  bool ascending = true;  // strictly ascending and all in range
+  TokenId prev = -1;
+  for (size_t i = 0; i < n; ++i) {
+    const TokenId id = cand[i];
+    const bool ok = in_range(id);
+    w[i] = ok ? floor_[static_cast<size_t>(id)] : 0.0;
+    ascending = ascending && ok && id > prev;
+    prev = id;
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const double keep = runs[k].keep;
+    const size_t m = runs[k].size;
+    const TokenId* tok = runs[k].tokens;
+    const double* mass = runs[k].masses;
     if (!ascending || n * kGallopRatio < m) {
       // Unsorted or out-of-range candidates, or a run much longer than
       // the list: binary-search each candidate in the run.
       for (size_t i = 0; i < n; ++i) {
         TokenId id = cand[i];
-        if (id < 0 || static_cast<size_t>(id) >= vocab_size_) continue;
+        if (!in_range(id)) continue;
         w[i] *= keep;
         const TokenId* hit = std::lower_bound(tok, tok + m, id);
         if (hit != tok + m && *hit == id) w[i] += mass[hit - tok];
       }
-      return;
+      continue;
     }
     for (size_t i = 0; i < n; ++i) w[i] *= keep;
     if (m * kGallopRatio < n) {
@@ -387,7 +419,7 @@ void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
         if (lo == cand + n) break;
         if (*lo == tok[j]) w[lo - cand] += mass[j];
       }
-      return;
+      continue;
     }
     // Comparable lengths: one linear merge with branch-free advances.
     size_t i = 0, j = 0;
@@ -397,7 +429,7 @@ void NGramLm::NextTokenWeightsRestricted(const TokenSequence& context,
       i += a <= b;
       j += b <= a;
     }
-  });
+  }
 }
 
 double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
@@ -410,17 +442,16 @@ double NGramLm::TokenLogProb(const TokenSequence& context, TokenId token,
   if (token < 0 || static_cast<size_t>(token) >= vocab_size_) {
     return std::log(1e-300);
   }
-  double p = 1.0 / static_cast<double>(vocab_size_);
-  if (!fitted_) return std::log(std::max(p, 1e-300));
-  WalkLevels(context, [&](const Level& level, size_t c, double keep) {
-    p *= keep;
-    const TokenId* begin = level.tokens.data() + level.run_begin[c];
-    const TokenId* end = level.tokens.data() + level.run_begin[c + 1];
-    const TokenId* hit = std::lower_bound(begin, end, token);
-    if (hit != end && *hit == token) {
-      p += level.masses[static_cast<size_t>(hit - level.tokens.data())];
-    }
-  });
+  double p = floor_[static_cast<size_t>(token)];
+  SeenRuns runs;
+  const size_t count = FindRuns(context, &runs);
+  for (size_t k = 0; k < count; ++k) {
+    const SeenRun& run = runs[k];
+    p *= run.keep;
+    const TokenId* end = run.tokens + run.size;
+    const TokenId* hit = std::lower_bound(run.tokens, end, token);
+    if (hit != end && *hit == token) p += run.masses[hit - run.tokens];
+  }
   return std::log(std::max(p, 1e-300));
 }
 
@@ -462,6 +493,12 @@ Status NGramLm::DeserializeBinary(std::string_view bytes) {
   uint64_t vocab_size = 0, order = 0;
   GREATER_RETURN_NOT_OK(r.GetU64(&vocab_size));
   GREATER_RETURN_NOT_OK(r.GetU64(&order));
+  // The unigram floor holds one double per token id, and ids are TokenId.
+  if (vocab_size > uint64_t{std::numeric_limits<TokenId>::max()} + 1) {
+    return Status::DataLoss("corrupt n-gram model: vocabulary size " +
+                            std::to_string(vocab_size) +
+                            " beyond the token id range");
+  }
   if (order < 2 || order > kMaxOrder) {
     return Status::DataLoss("corrupt n-gram model: order " +
                             std::to_string(order) + " outside [2, " +
@@ -555,6 +592,7 @@ Status NGramLm::DeserializeBinary(std::string_view bytes) {
   fitted_ = fitted;
   levels_ = std::move(levels);
   prior_.clear();
+  BuildFloor();
   return Status::OK();
 }
 

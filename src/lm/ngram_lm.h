@@ -1,6 +1,7 @@
 #ifndef GREATER_LM_NGRAM_LM_H_
 #define GREATER_LM_NGRAM_LM_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -75,15 +76,16 @@ class NGramLm : public LanguageModel {
 
   /// Restricted path: Witten–Bell interpolation evaluated on the
   /// candidate set only, bitwise-identical to gathering
-  /// NextTokenDistribution at the candidate ids. Per level, every
-  /// candidate is scaled by (1 - lambda), then the context's sorted run
-  /// is merged against the candidates: a linear merge, or a walk of the
-  /// much shorter side with binary search into the other. Candidates that
-  /// are not strictly ascending or not all in the vocabulary fall back to
-  /// a binary search per candidate. Lists covering at least 1/8 of the
-  /// vocabulary, given a workspace, run the full-vocabulary walk in
-  /// `ws->probs` and gather. Allocation-free once `out` (and `ws->probs`)
-  /// have capacity.
+  /// NextTokenDistribution at the candidate ids. Candidates start from
+  /// the unigram floor; per higher level, every candidate is scaled by
+  /// (1 - lambda), then the context's sorted run is merged against the
+  /// candidates: a linear merge, or a walk of the much shorter side with
+  /// binary search into the other. Candidates that are not strictly
+  /// ascending or not all in the vocabulary fall back to a binary search
+  /// per candidate. Given a workspace, a list covering at least 1/8 of
+  /// the vocabulary whose seen runs hold at least as many cells as the
+  /// list runs the full-vocabulary walk in `ws->probs` and gathers.
+  /// Allocation-free once `out` (and `ws->probs`) have capacity.
   void NextTokenWeightsRestricted(const TokenSequence& context,
                                   const std::vector<TokenId>& candidates,
                                   DecodeWorkspace* ws,
@@ -168,21 +170,41 @@ class NGramLm : public LanguageModel {
   /// occurrence), then the integer count applied as unit increments.
   void FinalizeFromCounts(CountShard* counts);
 
-  /// Interpolation walk shared by every evaluation: stages the last
-  /// order-1 tokens of bos + context, then calls
-  /// visit(level, context, keep) from the empty context upward, stopping
-  /// at the first unseen context (longer ones are unseen too).
-  template <typename Visit>
-  void WalkLevels(const TokenSequence& context, Visit&& visit) const;
+  /// The run of a seen context at one level >= 1: its sorted tokens,
+  /// their frozen masses, and the level's weight 1 - lambda.
+  struct SeenRun {
+    const TokenId* tokens;
+    const double* masses;
+    size_t size;
+    double keep;
+  };
+  using SeenRuns = std::array<SeenRun, kMaxOrder>;
 
-  /// The full-vocabulary distribution for `context`, written into `dist`.
-  void DenseWalk(const TokenSequence& context,
+  /// The interpolation walk shared by every evaluation: stages the last
+  /// order-1 tokens of bos + context and collects the runs of the seen
+  /// contexts of levels 1, 2, ... into `runs`, stopping at the first
+  /// unseen one (longer ones are unseen too). Level 0 is folded into
+  /// floor_; an unfitted model, or one without a level-0 context, collects
+  /// nothing. Returns the count.
+  size_t FindRuns(const TokenSequence& context, SeenRuns* runs) const;
+
+  /// The full-vocabulary distribution over the found runs, starting from
+  /// the floor, written into `dist`.
+  void DenseWalk(const SeenRuns& runs, size_t count,
                  std::vector<double>* dist) const;
+
+  /// Derives floor_: uniform, then level 0's step when fitted.
+  void BuildFloor();
 
   size_t vocab_size_;
   Options options_;
   bool fitted_ = false;
   std::vector<Level> levels_;  // levels_[k] holds contexts of length k
+  /// Per token: the distribution after the empty context, (1/V) * keep0 +
+  /// mass0[t], computed with the walk's own expressions (uniform when
+  /// unfitted or when level 0 has no context). Derived at construction,
+  /// fit and load; never serialized.
+  std::vector<double> floor_;
   std::vector<TokenSequence> prior_;
 };
 

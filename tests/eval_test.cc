@@ -115,7 +115,8 @@ FidelityReport ReportWith(std::vector<double> p_values) {
   FidelityReport report;
   for (size_t i = 0; i < p_values.size(); ++i) {
     PairFidelity pair;
-    pair.conditioning_column = "c" + std::to_string(i);
+    pair.conditioning_column = "c";
+    pair.conditioning_column += std::to_string(i);
     pair.target_column = "t";
     pair.ks_p_value = p_values[i];
     report.pairs.push_back(pair);

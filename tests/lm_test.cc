@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 
+#include "common/artifact_io.h"
 #include "common/rng.h"
 #include "datagen/digix.h"
 #include "lm/decode_cache.h"
@@ -397,6 +398,89 @@ TEST(NGramLmTest, NGramMatchesNodeMapReference) {
                              "digix prior=" + std::to_string(weight));
     }
   }
+}
+
+// A hand-built fitted payload of order 3 whose level 0 holds no context
+// (only the loader can produce one). Level 1 is empty too, or holds the
+// context {4} with one cell.
+std::string NoUnigramModelBytes(uint64_t vocab_size, bool level1_context) {
+  ByteWriter w;
+  w.PutU64(vocab_size);
+  w.PutU64(3);    // order
+  w.PutF64(0.0);  // prior weight
+  w.PutBool(true);
+  w.PutU32(3);    // levels
+  w.PutU64(0);    // level 0: no context
+  w.PutU64(level1_context ? 1 : 0);
+  if (level1_context) {
+    w.PutU32(1);
+    w.PutU32(4);
+    w.PutF64(2.0);
+    w.PutU32(1);
+    w.PutU32(5);
+    w.PutF64(2.0);
+  }
+  w.PutU64(0);    // level 2
+  ArtifactWriter doc("greater.ngram_lm", 1);
+  doc.AddChunk("model", std::move(w).Take());
+  return doc.Finish();
+}
+
+TEST(NGramLmTest, ModelWithoutUnigramContextStaysUniform) {
+  const size_t vocab_size = 16;
+  const double uniform = 1.0 / static_cast<double>(vocab_size);
+  std::vector<TokenId> all;
+  for (size_t id = 0; id < vocab_size; ++id) {
+    all.push_back(static_cast<TokenId>(id));
+  }
+  // Wide and sorted, narrow, unsorted with a duplicate and out-of-range
+  // ids, empty.
+  const std::vector<std::vector<TokenId>> lists = {
+      all, {5}, {9, -1, 4, 40, 4, 0}, {}};
+  for (bool level1_context : {false, true}) {
+    SCOPED_TRACE(level1_context ? "level 1 context" : "no context");
+    NGramLm lm(1);
+    ASSERT_TRUE(
+        lm.DeserializeBinary(NoUnigramModelBytes(vocab_size, level1_context))
+            .ok());
+    ASSERT_TRUE(lm.fitted());
+    for (const TokenSequence& context :
+         {TokenSequence{}, TokenSequence{4}, TokenSequence{7, 4}}) {
+      const std::vector<double> dist = lm.NextTokenDistribution(context);
+      ASSERT_EQ(dist.size(), vocab_size);
+      for (double p : dist) EXPECT_EQ(p, uniform);
+      DecodeWorkspace ws;
+      for (TokenId token : {TokenId(0), TokenId(5), TokenId(15)}) {
+        EXPECT_EQ(lm.TokenLogProb(context, token, nullptr),
+                  std::log(uniform));
+        EXPECT_EQ(lm.TokenLogProb(context, token, &ws), std::log(uniform));
+      }
+      for (const std::vector<TokenId>& list : lists) {
+        std::vector<double> gather;
+        for (TokenId id : list) {
+          const bool in_range =
+              id >= 0 && static_cast<size_t>(id) < vocab_size;
+          gather.push_back(in_range ? dist[static_cast<size_t>(id)] : 0.0);
+        }
+        std::vector<double> plain, with_ws;
+        lm.NextTokenWeightsRestricted(context, list, nullptr, &plain);
+        lm.NextTokenWeightsRestricted(context, list, &ws, &with_ws);
+        EXPECT_EQ(plain, gather);
+        EXPECT_EQ(with_ws, gather);
+      }
+    }
+  }
+}
+
+TEST(NGramLmTest, VocabularyBeyondTokenIdRangeFailsToLoad) {
+  // The loader sizes one double per token id; a vocabulary past the
+  // TokenId range is corrupt, not an allocation to attempt.
+  NGramLm lm(3);
+  Status status =
+      lm.DeserializeBinary(NoUnigramModelBytes(uint64_t{1} << 40, false));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_EQ(lm.vocab_size(), 3u);
+  EXPECT_FALSE(lm.fitted());
 }
 
 // ---------- NeuralLm ----------

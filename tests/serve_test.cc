@@ -926,9 +926,10 @@ TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
 TEST(WorkloadGeneratorTest, DeterministicAndSkewed) {
   std::vector<TenantProfile> profiles;
   for (int i = 0; i < 4; ++i) {
-    profiles.push_back(TenantProfile{"t" + std::to_string(i),
-                                     "name",
-                                     {"Grace", "Yin", "Anson", "Mia"}});
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    profiles.push_back(
+        TenantProfile{tenant, "name", {"Grace", "Yin", "Anson", "Mia"}});
   }
   WorkloadOptions wl;
   wl.tenant_skew.kind = SkewKind::kZipfian;

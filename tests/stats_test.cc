@@ -138,8 +138,8 @@ TEST(CorrelationTest, BiasCorrectionShrinksSmallSampleEstimates) {
   Rng rng(5);
   std::vector<Value> a, b;
   for (int i = 0; i < 60; ++i) {
-    a.push_back(Value(rng.UniformInt(1, 6)));
-    b.push_back(Value(rng.UniformInt(1, 6)));
+    a.emplace_back(rng.UniformInt(1, 6));
+    b.emplace_back(rng.UniformInt(1, 6));
   }
   auto ct = ContingencyTable::FromColumns(a, b).ValueOrDie();
   EXPECT_LT(CramersVBiasCorrected(ct), CramersV(ct) + 1e-12);
