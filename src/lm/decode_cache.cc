@@ -1,6 +1,7 @@
 #include "lm/decode_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -128,11 +129,13 @@ size_t DecodeCache::TransientHash::operator()(
 
 DecodeCache::DecodeCache(const DecodeCacheOptions& options)
     : options_(options) {
-  options_.capacity = std::max<size_t>(1, options_.capacity);
-  size_t positions = 2;
-  while (positions < 2 * options_.capacity) positions <<= 1;
-  index_.assign(positions, 0);
-  seen_.assign(positions, 0);
+  // Slot numbers are uint32 with the top value reserved for the scratch
+  // entry. The index grows with the admitted entries and the fingerprint
+  // array stops at kMaxSeenKeys, so a large bound costs nothing up front.
+  options_.capacity = std::clamp<size_t>(options_.capacity, 1, kMaxCapacity);
+  index_.assign(kMinIndexPositions, 0);
+  seen_.assign(std::bit_ceil(2 * std::min(options_.capacity, kMaxSeenKeys)),
+               0);
 }
 
 DecodeCache::~DecodeCache() {
@@ -230,9 +233,21 @@ void DecodeCache::EraseAt(size_t pos) {
   index_[hole] = 0;
 }
 
+void DecodeCache::GrowIndex() {
+  // Doubling keeps the load at most one half; every slot is re-homed.
+  index_.assign(2 * index_.size(), 0);
+  const size_t mask = index_.size() - 1;
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    size_t pos = static_cast<size_t>(slots_[slot].hash) & mask;
+    while (index_[pos] != 0) pos = (pos + 1) & mask;
+    index_[pos] = static_cast<uint32_t>(slot + 1);
+  }
+}
+
 DecodeCache::Entry& DecodeCache::Admit(const Key& key, uint64_t hash) {
   uint32_t slot;
   if (slots_.size() < options_.capacity) {
+    if (2 * (slots_.size() + 1) > index_.size()) GrowIndex();
     slot = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
     bytes_ += sizeof(Entry);

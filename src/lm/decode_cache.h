@@ -40,8 +40,8 @@ struct DecodeCacheOptions {
   /// pre-cache reference behaviour).
   bool enabled = true;
   /// Maximum distribution entries per cache (second-chance eviction above
-  /// this bound). A key takes an entry on its second miss; a key missed
-  /// once is served from one reusable scratch entry.
+  /// this bound; clamped to [1, 2^30]). A key takes an entry on its second
+  /// miss; a key missed once is served from one reusable scratch entry.
   size_t capacity = 4096;
   DecodeMode mode = DecodeMode::kExactReplay;
   /// Neural backbone only: memoize context-window -> hidden-layer vectors
@@ -149,9 +149,10 @@ struct DecodeWorkspace {
 /// miss records the key's fingerprint in a direct-mapped array and fills
 /// one reusable scratch entry that is never indexed; keys that never
 /// recur therefore cost no eviction and leave no buffer behind. Entries
-/// are found through a flat open-addressed table of slot numbers sized
-/// once at construction, so indexing a key or dropping one never
-/// allocates.
+/// are found through a flat open-addressed table of slot numbers that
+/// doubles while entries are added below capacity, so memory follows the
+/// admitted entries and a full cache indexes or drops a key without
+/// allocating.
 ///
 /// Determinism: in kExactReplay mode every draw is bitwise-identical to
 /// LanguageModel::SampleNext with the same arguments, including Rng stream
@@ -249,6 +250,14 @@ class DecodeCache {
   static constexpr AllowListId kTransientBase = 0x80000000u;
   /// ResolvedDist::slot of the scratch entry.
   static constexpr uint32_t kScratchSlot = 0xffffffffu;
+  /// Options::capacity is clamped to [1, kMaxCapacity]: slot numbers and
+  /// index members (slot + 1) stay below kScratchSlot.
+  static constexpr size_t kMaxCapacity = size_t{1} << 30;
+  /// The fingerprint array covers at most this many keys (two positions
+  /// each); beyond it a key's second miss is seen less reliably.
+  static constexpr size_t kMaxSeenKeys = size_t{1} << 16;
+  /// Initial index size; the index doubles as entries are admitted.
+  static constexpr size_t kMinIndexPositions = 16;
 
   struct Key {
     std::array<TokenId, kMaxKeyTokens> ctx{};
@@ -287,6 +296,9 @@ class DecodeCache {
   /// Index position holding `key`'s slot + 1, or the empty position that
   /// ends its probe sequence.
   size_t FindPosition(const Key& key, uint64_t hash) const;
+  /// Doubles the index and re-homes every slot. Called only while the
+  /// cache is below capacity, so a full cache never allocates.
+  void GrowIndex();
   /// Removes the index position `pos`, shifting later members of its
   /// probe cluster back so no tombstone is left.
   void EraseAt(size_t pos);
@@ -302,9 +314,10 @@ class DecodeCache {
   DecodeCacheOptions options_;
   std::vector<Entry> slots_;
   /// Open-addressed index: slot + 1 per position, 0 = empty; a power of
-  /// two >= 2 * capacity, linear probing.
+  /// two >= 2 * size(), linear probing.
   std::vector<uint32_t> index_;
-  /// Direct-mapped fingerprints of keys missed once (0 = empty).
+  /// Direct-mapped fingerprints of keys missed once (0 = empty); a power
+  /// of two >= 2 * min(capacity, kMaxSeenKeys), fixed at construction.
   std::vector<uint32_t> seen_;
   Entry scratch_;  ///< first-sighting distributions; never indexed
   size_t clock_hand_ = 0;

@@ -54,7 +54,7 @@ NGramLm::NGramLm(size_t vocab_size, const Options& options)
   options_.order = std::clamp<size_t>(options_.order, 2, kMaxOrder);
   levels_.resize(options_.order);  // context lengths 0 .. order-1
   for (size_t k = 0; k < levels_.size(); ++k) levels_[k].ctx_len = k;
-  BuildFloor();
+  floor_ = BuildFloor(vocab_size_, fitted_, levels_[0]);
 }
 
 void NGramLm::Level::StartContext(const TokenId* ids, double total) {
@@ -279,24 +279,25 @@ Status NGramLm::CountShards(
     Span finalize_span("lm.fit.finalize");
     FinalizeFromCounts(&shards[0]);
   }
+  floor_ = BuildFloor(vocab_size_, /*fitted=*/true, levels_[0]);
   fitted_ = true;
-  BuildFloor();
   return Status::OK();
 }
 
-void NGramLm::BuildFloor() {
+std::vector<double> NGramLm::BuildFloor(size_t vocab_size, bool fitted,
+                                        const Level& unigram) {
   // Level 0 is the same for every context, so its step of the walk
   // (uniform start, times keep, plus the cell's mass) is done once here
   // with the walk's expressions.
-  floor_.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
-  const Level& unigram = levels_[0];
-  if (!fitted_ || unigram.num_contexts() == 0) return;
+  std::vector<double> floor(vocab_size, 1.0 / static_cast<double>(vocab_size));
+  if (!fitted || unigram.num_contexts() == 0) return floor;
   const double keep = 1.0 - unigram.Lambda(0);
-  for (double& p : floor_) p *= keep;
+  for (double& p : floor) p *= keep;
   for (size_t j = unigram.run_begin[0]; j < unigram.run_begin[1]; ++j) {
     size_t token = static_cast<size_t>(unigram.tokens[j]);
-    if (token < floor_.size()) floor_[token] += unigram.masses[j];
+    if (token < floor.size()) floor[token] += unigram.masses[j];
   }
+  return floor;
 }
 
 size_t NGramLm::FindRuns(const TokenSequence& context,
@@ -484,7 +485,8 @@ std::string NGramLm::SerializeBinary() const {
   return doc.Finish();
 }
 
-Status NGramLm::DeserializeBinary(std::string_view bytes) {
+Status NGramLm::DeserializeBinary(std::string_view bytes,
+                                  std::optional<size_t> vocab_size_expected) {
   GREATER_ASSIGN_OR_RETURN(
       ArtifactReader doc,
       ArtifactReader::Parse(std::string(bytes), "greater.ngram_lm", 1));
@@ -498,6 +500,11 @@ Status NGramLm::DeserializeBinary(std::string_view bytes) {
     return Status::DataLoss("corrupt n-gram model: vocabulary size " +
                             std::to_string(vocab_size) +
                             " beyond the token id range");
+  }
+  if (vocab_size_expected && vocab_size != *vocab_size_expected) {
+    return Status::DataLoss("corrupt n-gram model: vocabulary size " +
+                            std::to_string(vocab_size) + ", expected " +
+                            std::to_string(*vocab_size_expected));
   }
   if (order < 2 || order > kMaxOrder) {
     return Status::DataLoss("corrupt n-gram model: order " +
@@ -587,12 +594,15 @@ Status NGramLm::DeserializeBinary(std::string_view bytes) {
     level.Seal();
   }
   GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  // Built before any member changes, so a failed allocation leaves the
+  // model as it was.
+  std::vector<double> floor = BuildFloor(vocab_size, fitted, levels[0]);
   vocab_size_ = vocab_size;
   options_ = options;
   fitted_ = fitted;
   levels_ = std::move(levels);
+  floor_ = std::move(floor);
   prior_.clear();
-  BuildFloor();
   return Status::OK();
 }
 

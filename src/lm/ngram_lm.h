@@ -112,9 +112,14 @@ class NGramLm : public LanguageModel {
   /// corpus is not persisted — its fractional counts are already folded
   /// into the tables at Fit. The loader bounds every length field by the
   /// bytes left and rejects unsorted or duplicate contexts and tokens and
-  /// non-finite or negative counts as kDataLoss.
+  /// non-finite or negative counts as kDataLoss. Loading allocates one
+  /// double per token id (the unigram floor); pass `vocab_size_expected`
+  /// (the encoder's vocabulary size) to reject a model of another size as
+  /// kDataLoss before that allocation.
   std::string SerializeBinary() const;
-  Status DeserializeBinary(std::string_view bytes);
+  Status DeserializeBinary(
+      std::string_view bytes,
+      std::optional<size_t> vocab_size_expected = std::nullopt);
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
 
@@ -193,8 +198,10 @@ class NGramLm : public LanguageModel {
   void DenseWalk(const SeenRuns& runs, size_t count,
                  std::vector<double>* dist) const;
 
-  /// Derives floor_: uniform, then level 0's step when fitted.
-  void BuildFloor();
+  /// The floor of a model of `vocab_size` tokens: uniform, then level
+  /// 0's step (`unigram`) when fitted.
+  static std::vector<double> BuildFloor(size_t vocab_size, bool fitted,
+                                        const Level& unigram);
 
   size_t vocab_size_;
   Options options_;

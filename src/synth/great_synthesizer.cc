@@ -637,8 +637,9 @@ Status GreatSynthesizer::DeserializeBinary(std::string_view bytes) {
     switch (options.backbone) {
       case Backbone::kNGram: {
         auto ngram = std::make_unique<NGramLm>(1);
-        GREATER_RETURN_NOT_OK_CTX(ngram->DeserializeBinary(payload),
-                                  "synthesizer n-gram LM");
+        GREATER_RETURN_NOT_OK_CTX(
+            ngram->DeserializeBinary(payload, encoder->vocab().size()),
+            "synthesizer n-gram LM");
         lm = std::move(ngram);
         break;
       }

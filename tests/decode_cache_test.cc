@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -274,6 +275,39 @@ TEST(DecodeCacheTest, IndexKeepsResidentKeysReachableUnderEviction) {
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.stats().admitted, uint64_t{kKeys});
   EXPECT_EQ(cache.stats().evictions, uint64_t{kKeys} - 8u);
+}
+
+TEST(DecodeCacheTest, LargeCapacityCostsNothingUntilEntriesArrive) {
+  // The index grows with the admitted entries and the capacity is clamped
+  // below the scratch slot number, so any bound constructs in O(1) memory
+  // and keeps every admitted key reachable as the index doubles.
+  NGramLm lm(256);
+  std::vector<TokenId> candidates = {100, 101, 102};
+  for (size_t capacity : {std::numeric_limits<size_t>::max(),
+                          size_t{1} << 40, size_t{1} << 32, size_t{300}}) {
+    SCOPED_TRACE(capacity);
+    DecodeCacheOptions options;
+    options.capacity = capacity;
+    DecodeCache cache(options);
+    EXPECT_LT(cache.options().capacity, size_t{1} << 31);
+    AllowListId allow_id = cache.InternTransient(candidates);
+    DecodeWorkspace ws;
+    Rng rng(5);
+    auto draw = [&](TokenId t) {
+      TokenSequence context = {t};
+      cache.SampleRestricted(lm, context, candidates, allow_id, 1.0, &rng,
+                             &ws);
+    };
+    constexpr TokenId kKeys = 200;
+    for (TokenId t = 0; t < kKeys; ++t) {
+      draw(t);  // scratch
+      draw(t);  // admitted
+    }
+    EXPECT_EQ(cache.size(), size_t{kKeys});
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    for (TokenId t = 0; t < kKeys; ++t) draw(t);
+    EXPECT_EQ(cache.stats().hits, uint64_t{kKeys});
+  }
 }
 
 // ---------- Admission on the second sighting ----------

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -24,6 +28,34 @@
 #include "synth/relational_synthesizer.h"
 #include "tabular/csv.h"
 #include "text/vocabulary.h"
+
+// Largest single heap request since the last reset, for the tests that
+// assert a hostile length is refused before it is allocated. The
+// overrides apply binary-wide.
+namespace {
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_allocation.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line so the compiler cannot pair an inlined free() with the
+// operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace greater {
 namespace {
@@ -400,7 +432,7 @@ TEST_F(DurabilityTest, NGramSynthesizerSaveLoadSampleBitwise) {
       "ngram");
 }
 
-// One hand-built n-gram payload: vocab 10, order 2, fitted. Level 0 holds
+// One hand-built n-gram payload: vocab 10 unless given, order 2, fitted. Level 0 holds
 // the empty context, level 1 the contexts in `contexts`; each context is
 // {ids..., total, {(token, count)...}}.
 struct CraftedContext {
@@ -411,9 +443,10 @@ struct CraftedContext {
 
 std::string CraftNGramModel(uint64_t level1_entries,
                             const std::vector<CraftedContext>& contexts,
-                            uint32_t level0_counts = 1) {
+                            uint32_t level0_counts = 1,
+                            uint64_t vocab_size = 10) {
   ByteWriter w;
-  w.PutU64(10);    // vocab size
+  w.PutU64(vocab_size);
   w.PutU64(2);     // order
   w.PutF64(0.0);   // prior weight
   w.PutBool(true);
@@ -475,6 +508,51 @@ TEST(NGramSerdeTest, HostileLengthsAndOrderingFailTypedNeverThrow) {
     EXPECT_EQ(lm.vocab_size(), 3u);  // a failed load leaves the model as is
     EXPECT_FALSE(lm.fitted());
   }
+}
+
+TEST_F(DurabilityTest, NGramVocabularyOffTheEncoderFailsTypedUnallocated) {
+  // A bundle whose n-gram header claims a vocabulary other than the
+  // encoder's is corrupt. The loader must say so before sizing anything by
+  // the claim: the unigram floor alone would be 8 bytes per token id.
+  GreatSynthesizer synth;
+  Rng rng(3);
+  ASSERT_TRUE(synth.Fit(SmallTable(), &rng).ok());
+  const std::string bytes = synth.SerializeBinary().ValueOrDie();
+  ArtifactReader doc = ArtifactReader::Parse(bytes, "greater.great_synthesizer",
+                                             2)
+                           .ValueOrDie();
+  const CraftedContext a{{4}, 2.0, {{5, 1.0}, {6, 1.0}}};
+  // The small mismatch goes first: if the check were missing it would
+  // load, and the ASSERT below stops before the huge claim is tried.
+  const uint64_t encoder_vocab = synth.encoder().vocab().size();
+  for (uint64_t vocab_size :
+       {encoder_vocab + 1, uint64_t{std::numeric_limits<TokenId>::max()}}) {
+    SCOPED_TRACE(vocab_size);
+    ArtifactWriter forged(doc.kind(), doc.version());
+    for (const std::string& name : doc.chunk_names()) {
+      std::string payload(doc.Chunk(name).ValueOrDie());
+      if (name == "lm") payload = CraftNGramModel(1, {a}, 1, vocab_size);
+      forged.AddChunk(name, std::move(payload));
+    }
+    const std::string forged_bytes = forged.Finish();
+    GreatSynthesizer loaded;
+    Status status;
+    g_largest_allocation.store(0, std::memory_order_relaxed);
+    EXPECT_NO_THROW(status = loaded.DeserializeBinary(forged_bytes));
+    ASSERT_EQ(status.code(), StatusCode::kDataLoss) << status;
+    EXPECT_LT(g_largest_allocation.load(std::memory_order_relaxed),
+              size_t{1} << 24);
+    EXPECT_FALSE(loaded.fitted());
+  }
+  // The n-gram loader alone, told the expected size; small claim first.
+  NGramLm lm(3);
+  ASSERT_EQ(lm.DeserializeBinary(CraftNGramModel(1, {a}, 1, 11), 10).code(),
+            StatusCode::kDataLoss);
+  Status status = lm.DeserializeBinary(
+      CraftNGramModel(1, {a}, 1, std::numeric_limits<TokenId>::max()), 10);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_EQ(lm.vocab_size(), 3u);
+  EXPECT_TRUE(lm.DeserializeBinary(CraftNGramModel(1, {a}), 10).ok());
 }
 
 TEST_F(DurabilityTest, NeuralSynthesizerSaveLoadSampleBitwise) {
