@@ -833,7 +833,11 @@ void BM_ServeZipfian(benchmark::State& state) {
   if (!server.Shutdown().ok()) state.SkipWithError("shutdown failed");
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_ServeZipfian)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeZipfian)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Overload control: the same server deliberately driven past capacity
 // with a mixed-priority workload (half background, a fifth batch) through
@@ -908,7 +912,10 @@ void BM_ServeOverload(benchmark::State& state) {
   if (!server.Shutdown().ok()) state.SkipWithError("shutdown failed");
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_ServeOverload)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeOverload)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---------- out-of-core fit + emission ----------
 

@@ -15,6 +15,9 @@
 namespace greater {
 namespace {
 
+constexpr const char* kClassNames[kNumRequestPriorities] = {
+    "interactive", "batch", "background"};
+
 // serve.* instrumentation; pointers cached once per process so request
 // hot paths pay one relaxed atomic op per event.
 struct ServeCounters {
@@ -34,7 +37,10 @@ struct ServeCounters {
   Counter* brownout_exited;
   Counter* evictions;
   Counter* reloads;
+  Counter* queue_full_waits;
   Gauge* queue_depth;
+  Gauge* class_depth[kNumRequestPriorities];
+  Gauge* class_peak[kNumRequestPriorities];
   Gauge* open_requests;
   Gauge* brownout;
   Gauge* resident_bundle_bytes;
@@ -60,7 +66,14 @@ struct ServeCounters {
     brownout_exited = &registry.GetCounter("serve.brownout_exited");
     evictions = &registry.GetCounter("serve.evictions");
     reloads = &registry.GetCounter("serve.reloads");
+    queue_full_waits = &registry.GetCounter("stream.queue_full_waits");
     queue_depth = &registry.GetGauge("serve.queue_depth");
+    for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+      const std::string name =
+          std::string("serve.admission.") + kClassNames[cls];
+      class_depth[cls] = &registry.GetGauge("stream.queue_depth." + name);
+      class_peak[cls] = &registry.GetGauge("stream.queue_peak." + name);
+    }
     open_requests = &registry.GetGauge("serve.open_requests");
     brownout = &registry.GetGauge("serve.brownout");
     resident_bundle_bytes =
@@ -78,9 +91,6 @@ const ServeCounters& GetServeCounters() {
   static const ServeCounters counters;
   return counters;
 }
-
-constexpr const char* kClassNames[kNumRequestPriorities] = {
-    "interactive", "batch", "background"};
 
 }  // namespace
 
@@ -201,16 +211,13 @@ Status SynthesisServer::Start() {
   stream_options.watchdog_timeout_ms = options_.watchdog_timeout_ms;
   stream_options.watchdog_poll_ms = options_.watchdog_poll_ms;
   runtime_ = std::make_unique<StreamRuntime>(stream_options);
+  const ServeCounters& counters = GetServeCounters();
   for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
-    admission_[cls] =
-        std::make_unique<BoundedQueue<std::shared_ptr<RequestTicket>>>(
-            std::string("serve.admission.") + kClassNames[cls],
-            options_.admission_capacity);
-    runtime_->RegisterQueue(admission_[cls].get());
+    counters.class_depth[cls]->Set(0.0);
+    counters.class_peak[cls]->Set(0.0);
   }
-  Heartbeat* admit_hb = runtime_->AddHeartbeat("serve.admitter");
-  runtime_->Spawn("serve.admitter", admit_hb,
-                  [this, admit_hb] { return AdmitterLoop(admit_hb); });
+  rr_budget_ = options_.priority_weights[rr_class_];
+  runtime_->RegisterQueue(this);
   for (size_t w = 0; w < std::max<size_t>(1, options_.num_workers); ++w) {
     Heartbeat* hb =
         runtime_->AddHeartbeat("serve.worker." + std::to_string(w));
@@ -344,11 +351,9 @@ void SynthesisServer::PruneWorkerSpaces(
   }
 }
 
-size_t SynthesisServer::QueuedDepth() const {
+size_t SynthesisServer::QueuedDepthLocked() const {
   size_t depth = 0;
-  for (const auto& queue : admission_) {
-    if (queue != nullptr) depth += queue->depth();
-  }
+  for (const auto& queue : queued_) depth += queue.size();
   return depth;
 }
 
@@ -357,7 +362,7 @@ void SynthesisServer::UpdatePressureLocked(uint64_t now_ns) {
   const bool lanes_cfg = options_.brownout_lanes_high > 0;
   if (!queue_cfg && !lanes_cfg) return;
   const ServeCounters& counters = GetServeCounters();
-  const size_t queued = QueuedDepth();
+  const size_t queued = QueuedDepthLocked();
   size_t lanes = 0;
   for (const auto& ticket : open_) {
     lanes += ticket->request_.rows - ticket->rows_packed_;
@@ -414,11 +419,6 @@ std::shared_ptr<RequestTicket> SynthesisServer::Submit(
         ticket->submit_ns_ + ticket->request_.deadline_ms * 1000000ull;
   }
 
-  if (!started_ || finished_) {
-    return FailTicket(std::move(ticket),
-                      Status::FailedPrecondition("server is not running"),
-                      TerminalClass::kRejected);
-  }
   // Resolve the tenant and (transparently) reload its bundle if a
   // memory-pressure sweep evicted it. The ticket holds the model
   // shared_ptr from here on, so a later eviction cannot free a bundle
@@ -426,6 +426,13 @@ std::shared_ptr<RequestTicket> SynthesisServer::Submit(
   TenantState* tenant = nullptr;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
+    if (!started_ || closed_ || poisoned_) {
+      return FailTicket(std::move(ticket),
+                        poisoned_ ? poison_
+                                  : Status::FailedPrecondition(
+                                        "server is not running"),
+                        TerminalClass::kRejected);
+    }
     auto it = tenants_.find(ticket->request_.tenant);
     if (it != tenants_.end()) {
       tenant = &it->second;
@@ -503,11 +510,17 @@ std::shared_ptr<RequestTicket> SynthesisServer::Submit(
     return ticket;
   }
 
-  // Quota gate + admission accounting, atomically under the scheduler
-  // lock: charge the token bucket, reserve the open lanes, and join the
-  // live set.
+  // Quota gate, admission accounting and enqueue, atomically under the
+  // scheduler lock: charge the token bucket, reserve the open lanes, join
+  // the live set, wait for room in the class queue, and run admission.
+  const size_t cls = std::min<size_t>(
+      static_cast<size_t>(ticket->request_.priority),
+      kNumRequestPriorities - 1);
+  std::vector<std::shared_ptr<RequestTicket>> shed;
+  Status refused;
+  TerminalClass refused_class = TerminalClass::kFailed;
   {
-    std::lock_guard<std::mutex> lock(sched_mu_);
+    std::unique_lock<std::mutex> lock(sched_mu_);
     const uint64_t now_ns = NowNs();
     Status quota = AdmitQuotaLocked(tenant, ticket->request_.tenant,
                                     ticket->request_.rows, now_ns);
@@ -519,71 +532,136 @@ std::shared_ptr<RequestTicket> SynthesisServer::Submit(
     tenant->open_lanes += ticket->request_.rows;
     live_.push_back(ticket);
     counters.admitted->Increment();
-    UpdatePressureLocked(now_ns);
-  }
 
-  const size_t cls = std::min<size_t>(
-      static_cast<size_t>(ticket->request_.priority),
-      kNumRequestPriorities - 1);
-  BoundedQueue<std::shared_ptr<RequestTicket>>& queue = *admission_[cls];
-  counters.queue_depth->Add(1.0);
-  QueuePush pushed;
-  {
-    std::shared_ptr<RequestTicket> copy = ticket;
-    if (options_.admission_wait_ms == 0) {
-      // Legacy blocking backpressure: park until the class queue frees up.
-      pushed = queue.Push(std::move(copy)) ? QueuePush::kAccepted
-                                           : QueuePush::kDone;
-    } else {
-      pushed = queue.PushFor(options_.admission_wait_ms, &copy);
+    // Backpressure: wait for room in this class's queue. Admission and
+    // shedding run at every event that frees a slot, and each run
+    // notifies sched_cv_, so the wait needs no timer of its own.
+    std::deque<std::shared_ptr<RequestTicket>>& queue = queued_[cls];
+    const size_t capacity = std::max<size_t>(1, options_.admission_capacity);
+    bool timed_out = false;
+    if (queue.size() >= capacity && !closed_ && !poisoned_) {
+      counters.queue_full_waits->Increment();
+      auto has_room = [&] {
+        return closed_ || poisoned_ || queue.size() < capacity;
+      };
+      if (options_.admission_wait_ms == 0) {
+        sched_cv_.wait(lock, has_room);
+      } else {
+        timed_out = !sched_cv_.wait_for(
+            lock, std::chrono::milliseconds(options_.admission_wait_ms),
+            has_room);
+      }
     }
+    if (timed_out) {
+      // Bounded-wait admission timed out: shed this request typed, with a
+      // hint for when to come back.
+      refused = Status::ResourceExhausted(
+                    "request shed: admission queue 'serve.admission." +
+                    std::string(kClassNames[cls]) + "' still full after " +
+                    std::to_string(options_.admission_wait_ms) + " ms")
+                    .WithRetryAfter(options_.shed_retry_after_ms);
+      refused_class = TerminalClass::kShed;
+    } else if (closed_ || poisoned_) {
+      // Stopped while (or before) we waited: fail typed with the runtime
+      // error when there is one.
+      refused = poisoned_ ? poison_
+                          : Status::FailedPrecondition(
+                                "server stopped accepting requests");
+    } else {
+      queue.push_back(ticket);
+      queued_peak_[cls] = std::max(queued_peak_[cls], queue.size());
+      AdmitLocked(&shed);
+    }
+    if (!refused.ok()) RemoveLiveLockedHeld(ticket.get());
   }
-  if (pushed == QueuePush::kAccepted) return ticket;
-  counters.queue_depth->Add(-1.0);
-  RemoveLive(ticket.get());
-  if (pushed == QueuePush::kFull) {
-    // Bounded-wait admission timed out: shed this request typed, with a
-    // hint for when to come back.
-    return FailTicket(
-        std::move(ticket),
-        Status::ResourceExhausted(
-            "request shed: admission queue '" + queue.name() +
-            "' still full after " +
-            std::to_string(options_.admission_wait_ms) + " ms")
-            .WithRetryAfter(options_.shed_retry_after_ms),
-        TerminalClass::kShed);
+  sched_cv_.notify_all();
+  FailShed(std::move(shed));
+  if (!refused.ok()) {
+    return FailTicket(std::move(ticket), std::move(refused), refused_class);
   }
-  // Closed or poisoned while (or before) we blocked: fail typed with the
-  // runtime error when there is one.
-  Status cause = runtime_->error();
-  return FailTicket(std::move(ticket),
-                    cause.ok() ? Status::FailedPrecondition(
-                                     "server stopped accepting requests")
-                               : cause,
-                    TerminalClass::kFailed);
+  return ticket;
 }
 
 // ---------------------------------------------------------------------------
-// Admission (admitter thread)
+// Admission
 
-void SynthesisServer::ShedQueuedOverflow() {
-  if (options_.shed_queue_depth == 0) return;
+void SynthesisServer::Poison(Status error) {
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    if (!poisoned_) {
+      poisoned_ = true;
+      poison_ = std::move(error);
+    }
+  }
+  sched_cv_.notify_all();
+}
+
+void SynthesisServer::Close() {
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    closed_ = true;
+  }
+  sched_cv_.notify_all();
+}
+
+size_t SynthesisServer::NextClassLocked() {
+  // Weighted round-robin over the class queues: class c is offered up to
+  // priority_weights[c] admissions per cycle while it has queued work;
+  // empty (or zero-weight) classes forfeit their share, so no bandwidth is
+  // wasted on idle classes. 2K steps visit every class at least once.
+  for (size_t step = 0; step < 2 * kNumRequestPriorities; ++step) {
+    if (rr_budget_ > 0 && !queued_[rr_class_].empty()) {
+      --rr_budget_;
+      return rr_class_;
+    }
+    rr_class_ = (rr_class_ + 1) % kNumRequestPriorities;
+    rr_budget_ = options_.priority_weights[rr_class_];
+  }
+  // Only zero-weight classes hold work: admit the highest of them rather
+  // than idle the window.
+  for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+    if (!queued_[cls].empty()) return cls;
+  }
+  return kNumRequestPriorities;
+}
+
+void SynthesisServer::AdmitLocked(
+    std::vector<std::shared_ptr<RequestTicket>>* shed) {
   const ServeCounters& counters = GetServeCounters();
-  while (QueuedDepth() > options_.shed_queue_depth) {
-    // Lowest class first: background, then batch. Interactive work is
-    // never shed from the queue — if only interactive remains above the
-    // watermark, it stays queued (bounded by the class queue capacity).
-    std::shared_ptr<RequestTicket> victim;
-    bool popped_one = false;
+  // Respect the packing window: while it is full, requests stay in their
+  // class queue, which is what makes Submit wait — admission capacity
+  // plus window size bound the buffered requests.
+  while (open_.size() < options_.max_open_requests) {
+    const size_t cls = NextClassLocked();
+    if (cls == kNumRequestPriorities) break;
+    InsertOpenLocked(std::move(queued_[cls].front()));
+    queued_[cls].pop_front();
+  }
+  // Lowest class first: background, then batch, oldest first. Interactive
+  // work is never shed from the queue — if only interactive remains above
+  // the watermark, it stays queued (bounded by the class capacity).
+  if (options_.shed_queue_depth > 0) {
     for (size_t cls = kNumRequestPriorities; cls-- > 1;) {
-      if (admission_[cls]->PopFor(0, &victim) == QueuePop::kItem) {
-        popped_one = true;
-        break;
+      while (!queued_[cls].empty() &&
+             QueuedDepthLocked() > options_.shed_queue_depth) {
+        RemoveLiveLockedHeld(queued_[cls].front().get());
+        shed->push_back(std::move(queued_[cls].front()));
+        queued_[cls].pop_front();
       }
     }
-    if (!popped_one) return;
-    counters.queue_depth->Add(-1.0);
-    RemoveLive(victim.get());
+  }
+  for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+    counters.class_depth[cls]->Set(static_cast<double>(queued_[cls].size()));
+    counters.class_peak[cls]->Set(static_cast<double>(queued_peak_[cls]));
+  }
+  counters.queue_depth->Set(static_cast<double>(QueuedDepthLocked()));
+  counters.open_requests->Set(static_cast<double>(open_.size()));
+  UpdatePressureLocked(NowNs());
+}
+
+void SynthesisServer::FailShed(
+    std::vector<std::shared_ptr<RequestTicket>> shed) {
+  for (auto& victim : shed) {
     FailTicket(std::move(victim),
                Status::ResourceExhausted(
                    "request shed: admission backlog exceeds shed watermark "
@@ -607,80 +685,24 @@ void SynthesisServer::InsertOpenLocked(std::shared_ptr<RequestTicket> ticket) {
   open_.insert(it, std::move(ticket));
 }
 
-Status SynthesisServer::AdmitterLoop(Heartbeat* hb) {
-  const ServeCounters& counters = GetServeCounters();
-  std::array<bool, kNumRequestPriorities> drained{};
-  size_t rr_class = 0;
-  uint32_t rr_budget = options_.priority_weights[0];
-  for (;;) {
-    hb->Beat();
-    if (!runtime_->error().ok()) break;
-    ShedQueuedOverflow();
-    // Respect the packing window: while it is full the request stays in
-    // its bounded class queue, which is what makes Submit block —
-    // admission capacity plus window size bound the buffered requests.
-    {
-      std::unique_lock<std::mutex> lock(sched_mu_);
-      UpdatePressureLocked(NowNs());
-      if (open_.size() >= options_.max_open_requests) {
-        sched_cv_.wait_for(
-            lock, std::chrono::milliseconds(options_.idle_poll_ms), [&] {
-              return open_.size() < options_.max_open_requests;
-            });
-        continue;
-      }
+std::chrono::nanoseconds SynthesisServer::IdleWaitLocked() const {
+  // An idle worker sees no unpacked rows in the window (those are work),
+  // so no request deadline can fall due while it waits. What can: its own
+  // heartbeat, and the end of a brownout dwell — the exit that no event
+  // would otherwise trigger.
+  uint64_t wait_ns =
+      std::max<uint64_t>(1, options_.watchdog_timeout_ms / 4) * 1000000ull;
+  if (brownout_) {
+    const uint64_t dwell_end_ns =
+        brownout_since_ns_ + options_.brownout_min_dwell_ms * 1000000ull;
+    const uint64_t now_ns = NowNs();
+    if (dwell_end_ns > now_ns) {
+      // At least 1 ms: a frozen injected clock must not make this a spin.
+      wait_ns = std::min(
+          wait_ns, std::max<uint64_t>(dwell_end_ns - now_ns, 1000000ull));
     }
-    // Weighted round-robin over the class queues: class c is offered up
-    // to priority_weights[c] admissions per cycle while it has queued
-    // work; empty (or zero-weight) classes forfeit their share, so no
-    // bandwidth is wasted on idle classes.
-    std::shared_ptr<RequestTicket> ticket;
-    bool got = false;
-    for (size_t scanned = 0; scanned < kNumRequestPriorities && !got;) {
-      if (rr_budget == 0) {
-        rr_class = (rr_class + 1) % kNumRequestPriorities;
-        rr_budget = options_.priority_weights[rr_class];
-        ++scanned;
-        continue;
-      }
-      QueuePop popped = admission_[rr_class]->PopFor(0, &ticket);
-      if (popped == QueuePop::kItem) {
-        got = true;
-        --rr_budget;
-        break;
-      }
-      if (popped == QueuePop::kDone) drained[rr_class] = true;
-      rr_budget = 0;  // empty: forfeit the rest of this class's share
-    }
-    if (!got) {
-      if (drained[0] && drained[1] && drained[2]) break;
-      // Idle: park on the highest-priority still-open queue so new work
-      // wakes us promptly; other classes are picked up within
-      // idle_poll_ms.
-      size_t park = 0;
-      while (park < kNumRequestPriorities && drained[park]) ++park;
-      QueuePop popped = admission_[park]->PopFor(options_.idle_poll_ms,
-                                                 &ticket);
-      if (popped == QueuePop::kDone) {
-        drained[park] = true;
-        continue;
-      }
-      if (popped != QueuePop::kItem) continue;
-    }
-    counters.queue_depth->Add(-1.0);
-    {
-      std::lock_guard<std::mutex> lock(sched_mu_);
-      InsertOpenLocked(std::move(ticket));
-      counters.open_requests->Set(static_cast<double>(open_.size()));
-    }
-    sched_cv_.notify_all();
   }
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    admitter_done_ = true;
-  }
-  sched_cv_.notify_all();
-  return Status::OK();
+  return std::chrono::nanoseconds(wait_ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -790,7 +812,6 @@ bool SynthesisServer::PackBundleLocked(Bundle* bundle) {
       ++it;
     }
   }
-  counters.open_requests->Set(static_cast<double>(open_.size()));
   return bundle->lanes > 0;
 }
 
@@ -798,13 +819,6 @@ Status SynthesisServer::WorkerLoop(Heartbeat* hb) {
   std::unordered_map<uint64_t, WorkerSpace> spaces;
   for (;;) {
     hb->Beat();
-    Status err = runtime_->error();
-    if (!err.ok()) {
-      // First worker to notice the failure sweeps the pending tickets so
-      // waiters unblock without needing Shutdown to run first.
-      FailAllPending(err);
-      return Status::OK();
-    }
     // Silent-death hook (watchdog conviction test): stop heartbeating and
     // exit without reporting, exactly like the streaming stages.
     if (FaultRegistry::AnyArmed()) {
@@ -816,21 +830,39 @@ Status SynthesisServer::WorkerLoop(Heartbeat* hb) {
     }
     Bundle bundle;
     bool drained = false;
+    Status err;
+    std::vector<std::shared_ptr<RequestTicket>> shed;
     {
       std::unique_lock<std::mutex> lock(sched_mu_);
-      sched_cv_.wait_for(lock,
-                         std::chrono::milliseconds(options_.idle_poll_ms),
-                         [&] { return admitter_done_ || HasWorkLocked(); });
-      if (!PackBundleLocked(&bundle)) {
-        drained = admitter_done_ && open_.empty();
+      auto drained_locked = [&] {
+        return closed_ && open_.empty() && QueuedDepthLocked() == 0;
+      };
+      sched_cv_.wait_for(lock, IdleWaitLocked(), [&] {
+        return poisoned_ || drained_locked() || HasWorkLocked();
+      });
+      if (poisoned_) {
+        err = poison_;
+      } else {
+        const bool packed = PackBundleLocked(&bundle);
+        // The sweep may have freed window space (packed, cancelled or
+        // convicted requests leave it): admit behind it.
+        AdmitLocked(&shed);
+        drained = !packed && drained_locked();
       }
     }
+    if (!err.ok()) {
+      // First worker to notice the failure sweeps the pending tickets so
+      // waiters unblock without needing Shutdown to run first.
+      FailAllPending(err);
+      return Status::OK();
+    }
+    sched_cv_.notify_all();
+    FailShed(std::move(shed));
     if (bundle.lanes > 0) {
       RunBundle(&bundle, &spaces);
       if (options_.max_resident_bundle_bytes > 0) {
         PruneWorkerSpaces(&spaces);
       }
-      sched_cv_.notify_all();  // window space freed; wake the admitter
       continue;
     }
     if (drained) return Status::OK();
@@ -1053,7 +1085,13 @@ void SynthesisServer::FailAllPending(const Status& error) {
     }
     pending.swap(live_);
     open_.clear();
-    GetServeCounters().open_requests->Set(0.0);
+    for (auto& queue : queued_) queue.clear();
+    const ServeCounters& counters = GetServeCounters();
+    for (size_t cls = 0; cls < kNumRequestPriorities; ++cls) {
+      counters.class_depth[cls]->Set(0.0);
+    }
+    counters.queue_depth->Set(0.0);
+    counters.open_requests->Set(0.0);
   }
   for (const auto& ticket : pending) {
     std::lock_guard<std::mutex> lock(ticket->mu_);
@@ -1072,10 +1110,9 @@ Status SynthesisServer::Shutdown() {
     return Status::FailedPrecondition("Shutdown before Start");
   }
   if (finished_) return final_status_;
-  for (const auto& queue : admission_) {
-    if (queue != nullptr) queue->Close();
-  }
-  sched_cv_.notify_all();
+  // Queued requests are still admitted and served; submitters waiting for
+  // queue space fail typed.
+  Close();
   final_status_ = runtime_->Finish();
   // A clean drain leaves nothing behind; a failed one (or a convicted
   // worker holding a bundle) leaves tickets that must not hang their

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -95,7 +96,7 @@ struct ServeOptions {
   /// Sampler worker threads draining the packing window.
   size_t num_workers = 2;
   /// Per-priority-class admission queue capacity — the backpressure
-  /// surface: Submit blocks (or sheds, see admission_wait_ms) once this
+  /// surface: Submit waits (or sheds, see admission_wait_ms) once this
   /// many requests of one class are queued but not yet admitted.
   size_t admission_capacity = 64;
   /// Cross-request packing window: requests admitted (eligible for lane
@@ -108,27 +109,27 @@ struct ServeOptions {
   /// max(1, max_lanes_per_batch / brownout_lanes_divisor).
   size_t max_lanes_per_batch = 64;
   /// Watchdog conviction deadline for a worker stalled inside one batch.
+  /// Idle workers wake every quarter of it to beat their heartbeat.
   uint64_t watchdog_timeout_ms = 30000;
   uint64_t watchdog_poll_ms = 10;
-  /// Idle wake period: parked workers re-beat their heartbeat and re-scan
-  /// for work (new requests, cancellations) this often.
-  uint64_t idle_poll_ms = 5;
 
   // Overload control ---------------------------------------------------------
 
   /// How long Submit waits for admission-queue space before shedding the
-  /// request typed (kResourceExhausted + retry-after). 0 = legacy blocking
-  /// backpressure: Submit parks until space frees up.
+  /// request typed (kResourceExhausted + retry-after). 0 = blocking
+  /// backpressure: Submit waits until space frees up or the server stops.
   uint64_t admission_wait_ms = 0;
   /// Weighted round-robin admission shares for
   /// {interactive, batch, background}. Per cycle, class c is offered up to
   /// priority_weights[c] admissions while its queue has work; empty
   /// classes forfeit their share. Guarantees progress for every class
-  /// with a nonzero weight (weight 0 starves that class deliberately).
+  /// with a nonzero weight; a weight-0 class is admitted only while every
+  /// weighted class is empty.
   std::array<uint32_t, kNumRequestPriorities> priority_weights = {8, 2, 1};
   /// Queue-depth shed watermark: while the total queued (not yet admitted)
-  /// requests across all classes exceed this, the admitter sheds queued
-  /// work lowest-class-first — background, then batch, NEVER interactive.
+  /// requests across all classes exceed this, admission sheds queued
+  /// work lowest-class-first — background, then batch, oldest first,
+  /// NEVER interactive.
   /// 0 disables shedding.
   size_t shed_queue_depth = 0;
   /// Retry-after hint attached to shed rejections.
@@ -264,13 +265,15 @@ class RequestTicket {
 /// next request. None of this changes served bytes: an admitted request's
 /// output stays bitwise-identical to a direct Sample call.
 ///
-/// Threading: Submit is safe from any number of threads (it blocks on the
-/// admission queue when full — backpressure, never unbounded buffering —
-/// or sheds after admission_wait_ms when configured). Tenant registration
-/// happens before Start. Worker liveness runs on the streaming watchdog: a
-/// worker stalled inside a batch past watchdog_timeout_ms fails the server
-/// with kDeadlineExceeded, every queue is poisoned, and all pending
-/// tickets complete with that error.
+/// Threading: Submit is safe from any number of threads (it waits while
+/// its class queue is full — backpressure, never unbounded buffering — or
+/// sheds after admission_wait_ms when configured). Tenant registration
+/// happens before Start. Scheduling is event-driven: every Submit and
+/// every packing sweep re-runs admission under one scheduler lock and
+/// wakes the waiters; nothing polls. Worker liveness runs on the streaming
+/// watchdog: a worker stalled inside a batch past watchdog_timeout_ms
+/// fails the server with kDeadlineExceeded, every waiter wakes, and all
+/// pending tickets complete with that error.
 ///
 /// Fault points: "serve.admit" fires per Submit (the request is rejected
 /// typed before entering the queue); "serve.pack" fires once per request
@@ -279,10 +282,10 @@ class RequestTicket {
 /// (a fired fault aborts that eviction sweep — the bundle stays resident);
 /// "serve.reload" fires per evicted-bundle reload (the submit that needed
 /// the reload fails typed). See common/fault.h.
-class SynthesisServer {
+class SynthesisServer : private QueueControl {
  public:
   explicit SynthesisServer(const ServeOptions& options);
-  ~SynthesisServer();
+  ~SynthesisServer() override;
 
   /// Registers a fitted model under `name`, pinned in memory (never
   /// evicted — there is no artifact to reload it from). Models are
@@ -302,11 +305,11 @@ class SynthesisServer {
   /// Before Start() only.
   Status SetTenantQuota(const std::string& name, TenantQuota quota);
 
-  /// Spawns the admitter, sampler workers, and watchdog. Requires at
-  /// least one tenant.
+  /// Spawns the sampler workers and the watchdog. Requires at least one
+  /// tenant.
   Status Start();
 
-  /// Submits a request. Never blocks on decoding — only on admission-queue
+  /// Submits a request. Never waits on decoding — only on admission-queue
   /// backpressure (bounded by admission_wait_ms when set). The returned
   /// ticket is terminal-typed on every failure path (unknown tenant,
   /// injected admission fault, over-quota, shed, server stopped), so
@@ -387,17 +390,37 @@ class SynthesisServer {
 
   uint64_t NowNs() const;
 
-  Status AdmitterLoop(Heartbeat* hb);
+  /// QueueControl, registered with the runtime: Poison (a runtime failure)
+  /// and Close (Shutdown) set the scheduler's stop flags and wake every
+  /// waiter — idle workers and submitters parked on a full class queue.
+  void Poison(Status error) override;
+  void Close() override;
+
   Status WorkerLoop(Heartbeat* hb);
 
   /// Total requests queued (not yet admitted) across the class queues.
-  size_t QueuedDepth() const;
-  /// Sheds queued work lowest-class-first while QueuedDepth() exceeds the
-  /// shed watermark. Never sheds interactive requests. Admitter-only.
-  void ShedQueuedOverflow();
+  size_t QueuedDepthLocked() const;
+  /// The scheduler's one admission step, run at every event that can
+  /// change its answer (a Submit enqueue, a packing sweep): moves queued
+  /// tickets into the packing window by weighted round-robin while it has
+  /// room, then sheds queued work above shed_queue_depth (background, then
+  /// batch, oldest first, never interactive) into `shed` — the caller
+  /// fails those after releasing sched_mu_ — and refreshes the queue
+  /// gauges and the brownout state. Callers notify sched_cv_ afterwards.
+  void AdmitLocked(std::vector<std::shared_ptr<RequestTicket>>* shed);
+  /// Fails tickets AdmitLocked shed, typed with a retry-after hint. Runs
+  /// after sched_mu_ is released, keeping ticket locks and metric exports
+  /// off the scheduler lock.
+  void FailShed(std::vector<std::shared_ptr<RequestTicket>> shed);
+  /// The class the weighted round-robin admits next, or
+  /// kNumRequestPriorities when every class queue is empty.
+  size_t NextClassLocked();
   /// Inserts an admitted ticket into the packing window, keeping the
   /// window ordered by (priority class, admission order).
   void InsertOpenLocked(std::shared_ptr<RequestTicket> ticket);
+  /// How long an idle worker may wait before it must act on its own: the
+  /// heartbeat interval, shortened to the brownout dwell end.
+  std::chrono::nanoseconds IdleWaitLocked() const;
 
   /// Re-evaluates the brownout signals against the watermarks (with
   /// hysteresis + minimum dwell) and flips the mode when warranted.
@@ -466,27 +489,32 @@ class SynthesisServer {
   /// (std::map nodes are address-stable, so TenantState* stay valid).
   std::map<std::string, TenantState> tenants_;
   bool started_ = false;
-  bool finished_ = false;
+  bool finished_ = false;  ///< Shutdown's own flag; Submit reads closed_
   Status final_status_;
   uint64_t generation_counter_ = 0;
 
-  /// One bounded admission queue per priority class.
-  std::array<std::unique_ptr<BoundedQueue<std::shared_ptr<RequestTicket>>>,
-             kNumRequestPriorities>
-      admission_;
   std::unique_ptr<StreamRuntime> runtime_;
 
-  /// Scheduler state: the packing window (priority-then-admission
-  /// ordered), the set of every non-terminal admitted ticket (for the
-  /// failure sweep and quota accounting), the admitter's drain flag, and
-  /// the overload-control state (brownout, LRU clock, resident bytes).
-  /// sched_mu_ may be taken before a ticket's mu_ and before a queue's
-  /// internal lock (depth()), never after either.
+  /// Scheduler state: the per-class admission queues, the packing window
+  /// (priority-then-admission ordered), the set of every non-terminal
+  /// admitted ticket (for the failure sweep and quota accounting), the
+  /// round-robin cursor, the stop flags, and the overload-control state
+  /// (brownout, LRU clock, resident bytes). sched_cv_ wakes idle workers
+  /// and submitters waiting for queue space alike. sched_mu_ may be taken
+  /// before a ticket's mu_, never after it.
   mutable std::mutex sched_mu_;
   std::condition_variable sched_cv_;
+  std::array<std::deque<std::shared_ptr<RequestTicket>>,
+             kNumRequestPriorities>
+      queued_;
+  std::array<size_t, kNumRequestPriorities> queued_peak_{};
+  size_t rr_class_ = 0;
+  uint32_t rr_budget_ = 0;
   std::deque<std::shared_ptr<RequestTicket>> open_;
   std::vector<std::shared_ptr<RequestTicket>> live_;
-  bool admitter_done_ = false;
+  bool closed_ = false;    ///< Shutdown began: no new requests
+  bool poisoned_ = false;  ///< the runtime failed with poison_
+  Status poison_;
   bool brownout_ = false;
   uint64_t brownout_since_ns_ = 0;
   uint64_t lru_clock_ = 0;

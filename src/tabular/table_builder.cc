@@ -21,13 +21,13 @@ Status TableBuilder::AppendCell(size_t col, Value value) {
                            std::to_string(cursor_) + ", got " +
                            std::to_string(got));
   }
+  bool widen = false;
   if (!value.is_null()) {
     const Field& f = schema_.field(col);
     if (value.type() != f.type) {
       // Int widens into double columns, as in Table::AppendRow.
-      if (f.type == ValueType::kDouble && value.is_int()) {
-        value = Value(static_cast<double>(value.as_int()));
-      } else {
+      widen = f.type == ValueType::kDouble && value.is_int();
+      if (!widen) {
         Status status = Status::Invalid(
             "column '" + f.name + "' expects " + ValueTypeToString(f.type) +
             ", got " + ValueTypeToString(value.type()));
@@ -36,7 +36,11 @@ Status TableBuilder::AppendCell(size_t col, Value value) {
       }
     }
   }
-  columns_[col].push_back(std::move(value));
+  if (widen) {
+    columns_[col].emplace_back(static_cast<double>(value.as_int()));
+  } else {
+    columns_[col].push_back(std::move(value));
+  }
   ++cursor_;
   return Status::OK();
 }

@@ -12,8 +12,9 @@ namespace greater {
 namespace {
 
 // The visit-logbook example of the paper's Fig. 11/12: gender and birth
-// year are contextual; food varies per visit.
-Table VisitLog() {
+// year are contextual; food varies per visit. `last_gender` overrides
+// the gender of Yin's last visit (a measurement error when not 3).
+Table VisitLog(int last_gender = 3) {
   Schema schema({Field("user", ValueType::kString),
                  Field("gender", ValueType::kInt),
                  Field("birth", ValueType::kInt),
@@ -27,7 +28,7 @@ Table VisitLog() {
                            Value("Spaghetti")}).ok());
   EXPECT_TRUE(t.AppendRow({Value("Yin"), Value(3), Value(1985),
                            Value("Spaghetti")}).ok());
-  EXPECT_TRUE(t.AppendRow({Value("Yin"), Value(3), Value(1985),
+  EXPECT_TRUE(t.AppendRow({Value("Yin"), Value(last_gender), Value(1985),
                            Value("Rice")}).ok());
   return t;
 }
@@ -42,9 +43,8 @@ TEST(ContextualTest, DetectsConstantPerSubjectColumns) {
 }
 
 TEST(ContextualTest, ToleranceAdmitsNoisyColumns) {
-  Table t = VisitLog();
   // Corrupt one of Yin's gender entries (measurement error).
-  t.at(4, 1) = Value(9);
+  Table t = VisitLog(/*last_gender=*/9);
   auto strict = FindContextualColumns(t, "user", 1.0).ValueOrDie();
   EXPECT_EQ(std::count(strict.begin(), strict.end(), "gender"), 0);
   auto tolerant = FindContextualColumns(t, "user", 0.5).ValueOrDie();
@@ -52,8 +52,8 @@ TEST(ContextualTest, ToleranceAdmitsNoisyColumns) {
 }
 
 TEST(ContextualTest, ExtractParentOneRowPerSubjectModalValues) {
-  Table t = VisitLog();
-  t.at(4, 1) = Value(9);  // minority corruption; mode must win
+  // Minority corruption; the mode must win.
+  Table t = VisitLog(/*last_gender=*/9);
   auto split = ExtractParent(t, "user", {"gender", "birth"}).ValueOrDie();
   EXPECT_EQ(split.parent.num_rows(), 2u);
   auto groups = split.parent.GroupByColumn("user").ValueOrDie();

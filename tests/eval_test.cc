@@ -59,8 +59,9 @@ TEST(FidelityTest, MissingGroupsPenalized) {
   Rng rng(4);
   Table original = RandomTable(&rng, 300, true);
   // Synthetic covering only x=1.
-  Table synthetic = original.FilterRows(
-      [&](size_t r) { return original.at(r, 0) == Value(1); });
+  const Value one(1);
+  Table synthetic =
+      original.FilterRows([&](size_t r) { return original.at(r, 0) == one; });
   FidelityOptions options;
   options.penalize_missing_groups = true;
   auto penalized =

@@ -213,7 +213,7 @@ TEST_F(PipelineTest, DisjointSubjectsFail) {
   size_t uid = feeds_shifted.schema().FieldIndex("user_id").ValueOrDie();
   std::vector<Value> shifted;
   for (size_t r = 0; r < feeds_shifted.num_rows(); ++r) {
-    shifted.push_back(Value(feeds_shifted.at(r, uid).as_int() + 1000000));
+    shifted.emplace_back(feeds_shifted.at(r, uid).as_int() + 1000000);
   }
   ASSERT_TRUE(feeds_shifted.ReplaceColumn("user_id", shifted).ok());
   MultiTablePipeline pipeline;

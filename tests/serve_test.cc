@@ -455,6 +455,8 @@ TEST(SynthesisServerTest, ConcurrentSubmittersUnderTinyQueueAllComplete) {
         request.tenant = set.names[rng.Index(set.names.size())];
         request.rows = 1 + rng.Index(3);
         request.seed = rng.engine()();
+        request.priority =
+            static_cast<RequestPriority>(rng.Index(kNumRequestPriorities));
         if (rng.Bernoulli(0.3)) request.conditioning["name"] = Value("Mia");
         mine.push_back(server.Submit(request));
         if (i % 3 == 0) mine.back()->Cancel();  // churn mid-flight
@@ -474,12 +476,15 @@ TEST(SynthesisServerTest, ConcurrentSubmittersUnderTinyQueueAllComplete) {
   for (const Status& failure : failures) EXPECT_TRUE(failure.ok()) << failure;
   ASSERT_TRUE(server.Shutdown().ok());
 
-  // Backpressure held: no class queue ever buffered past capacity (the
-  // default-priority requests all went through the interactive queue).
-  EXPECT_LE(MetricsRegistry::Global()
-                .GetGauge("stream.queue_peak.serve.admission.interactive")
-                .Value(),
-            static_cast<double>(options.admission_capacity));
+  // Backpressure held: no class queue ever buffered past capacity.
+  for (const char* cls : {"interactive", "batch", "background"}) {
+    EXPECT_LE(MetricsRegistry::Global()
+                  .GetGauge(std::string("stream.queue_peak.serve.admission.") +
+                            cls)
+                  .Value(),
+              static_cast<double>(options.admission_capacity))
+        << cls;
+  }
 }
 
 TEST(SynthesisServerTest, WatchdogConvictsSilentlyDeadWorker) {
@@ -560,6 +565,63 @@ void ExpectCountersReconcile(const ServeSnapshot& before) {
                 (now.failed - before.failed) +
                 (now.cancelled - before.cancelled) +
                 (now.shed - before.shed));
+}
+
+// Blocking admission (admission_wait_ms = 0) behind a pinned worker: every
+// submitter parked on the full class queue wakes at Shutdown and fails
+// typed; the admitted requests drain OK, and the counters reconcile.
+TEST(SynthesisServerTest, ShutdownUnblocksBlockedSubmitters) {
+  ServeSnapshot before = ServeSnapshot::Take();
+  Counter& full_waits =
+      MetricsRegistry::Global().GetCounter("stream.queue_full_waits");
+  const uint64_t waits_before = full_waits.Value();
+
+  TenantSet set = MakeTenants(1);
+  ServeOptions options;
+  options.num_workers = 1;
+  options.max_open_requests = 1;
+  options.max_lanes_per_batch = 8;
+  options.admission_capacity = 1;
+  options.admission_wait_ms = 0;
+  SynthesisServer server(options);
+  AddAll(&server, set);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The pin fills the one-request window and keeps the single worker busy
+  // for ~2500 bundles; the next request fills the one-slot class queue.
+  auto pin = server.Submit(RowsRequest(set.names[0], 20000, 5));
+  auto queued = server.Submit(RowsRequest(set.names[0], 3, 6));
+
+  constexpr size_t kBlocked = 4;
+  std::vector<std::shared_ptr<RequestTicket>> blocked(kBlocked);
+  std::vector<std::thread> submitters;
+  for (size_t i = 0; i < kBlocked; ++i) {
+    submitters.emplace_back([&, i] {
+      blocked[i] = server.Submit(RowsRequest(set.names[0], 2, 100 + i));
+    });
+  }
+  // Each parked Submit counts one queue-full wait.
+  for (int i = 0; i < 2000 && full_waits.Value() - waits_before < kBlocked;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(full_waits.Value() - waits_before, kBlocked);
+
+  EXPECT_TRUE(server.Shutdown().ok());
+  for (auto& thread : submitters) thread.join();
+
+  ASSERT_TRUE(pin->Wait().ok()) << pin->Wait().status();
+  ASSERT_TRUE(queued->Wait().ok()) << queued->Wait().status();
+  for (auto& ticket : blocked) {
+    ASSERT_NE(ticket, nullptr);
+    ASSERT_TRUE(ticket->done());
+    const Result<Table>& r = ticket->Wait();
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+          << r.status();
+    }
+  }
+  ExpectCountersReconcile(before);
 }
 
 // Burst storm: a low-priority flood against a tiny admission surface plus

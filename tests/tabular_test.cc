@@ -23,8 +23,11 @@ TEST(ValueTest, TypesAndAccessors) {
 TEST(ValueTest, StrictEqualityDistinguishesTypes) {
   // The Fig. 2 ambiguity is a *textual* phenomenon; Value keeps int 1,
   // double 1.0 and string "1" distinct.
-  EXPECT_NE(Value(1), Value(1.0));
-  EXPECT_NE(Value(1), Value("1"));
+  const Value int_one(1);
+  const Value double_one(1.0);
+  const Value string_one("1");
+  EXPECT_NE(int_one, double_one);
+  EXPECT_NE(int_one, string_one);
   EXPECT_EQ(Value(1), Value(1));
   EXPECT_EQ(Value("a"), Value("a"));
   EXPECT_EQ(Value(), Value::Null());
@@ -204,7 +207,8 @@ TEST(TableTest, AppendTableRequiresEqualSchema) {
 
 TEST(TableTest, FilterRows) {
   Table t = MakeToyTable();
-  Table f = t.FilterRows([&](size_t r) { return t.at(r, 1) == Value(1); });
+  const Value one(1);
+  Table f = t.FilterRows([&](size_t r) { return t.at(r, 1) == one; });
   EXPECT_EQ(f.num_rows(), 2u);
 }
 
