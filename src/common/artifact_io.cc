@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -157,6 +158,15 @@ Status ByteReader::GetBytes(size_t n, std::string_view* out) {
   }
   *out = data_.substr(pos_, n);
   pos_ += n;
+  return Status::OK();
+}
+
+Status ByteReader::CheckCount(uint64_t count, size_t min_item_bytes) const {
+  if (count > remaining() / std::max<size_t>(1, min_item_bytes)) {
+    return Status::DataLoss("corrupt artifact: count " +
+                            std::to_string(count) + " exceeds the " +
+                            std::to_string(remaining()) + " bytes left");
+  }
   return Status::OK();
 }
 

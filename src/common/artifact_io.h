@@ -84,6 +84,10 @@ class ByteReader {
   Status GetBytes(size_t n, std::string_view* out);
 
   size_t remaining() const { return data_.size() - pos_; }
+  /// kDataLoss unless `count` items of at least `min_item_bytes` each fit
+  /// in the bytes left. Call it before sizing anything by a decoded
+  /// count, so a hostile length can never drive an allocation.
+  Status CheckCount(uint64_t count, size_t min_item_bytes) const;
   bool AtEnd() const { return pos_ == data_.size(); }
   /// kDataLoss unless every byte has been consumed — catches payloads with
   /// trailing garbage (a symptom of framing bugs or concatenated writes).
@@ -128,6 +132,8 @@ class ArtifactReader {
 
   const std::string& kind() const { return kind_; }
   uint32_t version() const { return version_; }
+  /// The whole document, exactly as parsed.
+  std::string_view bytes() const { return buffer_; }
 
   bool HasChunk(std::string_view name) const;
   /// kNotFound when the document has no such chunk.

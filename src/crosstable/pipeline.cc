@@ -1,12 +1,13 @@
 #include "crosstable/pipeline.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crosstable/checkpoint.h"
+#include "common/checkpoint_store.h"
 #include "crosstable/contextual.h"
 #include "crosstable/flatten.h"
 #include "obs/metrics.h"
@@ -198,64 +199,49 @@ Result<Table> MergeParents(const Table& parent1, const Table& parent2,
   return parent;
 }
 
-// ---- Stage-checkpoint payload codecs (see StageCheckpointer). Every
-// codec is deterministic for equal inputs — the chain identity between the
-// hit and miss paths depends on it. ----
+// ---- Stage-checkpoint payload codecs (see common/checkpoint_store.h).
+// Each stage names its outputs by pointer into Run's locals. Encoders are
+// deterministic for equal inputs — the chain identity between the hit and
+// miss paths depends on it. Decoders read into temporaries and commit
+// only once the whole document has decoded, so a refused document leaves
+// the run exactly as the recompute path expects. ----
 
-void AppendStringList(const std::vector<std::string>& list, ByteWriter* w) {
+using StringList = std::vector<std::string>;
+
+struct StageOutputs {
+  std::vector<Table*> tables;
+  std::vector<StringList*> lists;
+};
+
+void AppendStringList(const StringList& list, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(list.size()));
   for (const std::string& s : list) w->PutString(s);
 }
 
-Status ReadStringList(ByteReader* r, std::vector<std::string>* out) {
+Status ReadStringList(ByteReader* r, StringList* out) {
   uint32_t count = 0;
   GREATER_RETURN_NOT_OK(r->GetU32(&count));
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string s;
-    GREATER_RETURN_NOT_OK(r->GetString(&s));
-    out->push_back(std::move(s));
+  GREATER_RETURN_NOT_OK(r->CheckCount(count, 4));
+  out->resize(count);
+  for (std::string& s : *out) GREATER_RETURN_NOT_OK(r->GetString(&s));
+  return Status::OK();
+}
+
+template <typename T>
+void Commit(std::vector<T>* decoded, const std::vector<T*>& out) {
+  for (size_t i = 0; i < out.size(); ++i) *out[i] = std::move((*decoded)[i]);
+}
+
+// Chunk `name` holds `count` tables back to back.
+Status ReadTables(const ArtifactReader& doc, const std::string& name,
+                  size_t count, std::vector<Table>* out) {
+  GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk(name));
+  ByteReader r(payload);
+  for (size_t i = 0; i < count; ++i) {
+    out->emplace_back();
+    GREATER_RETURN_NOT_OK(ReadTable(&r, &out->back()));
   }
-  return Status::OK();
-}
-
-void AppendReport(const SampleReport& report, ByteWriter* w) {
-  w->PutU64(report.rows_requested);
-  w->PutU64(report.rows_emitted);
-  w->PutU64(report.rows_exhausted);
-  w->PutU64(report.attempts);
-  w->PutU64(report.rejected_invalid_value);
-  w->PutU64(report.rejected_decode_failure);
-  w->PutU64(report.rejected_mid_row);
-  w->PutU64(report.injected_faults);
-  w->PutU64(report.fallback_grammar_uses);
-  w->PutU64(report.snapped_cells);
-}
-
-Status ReadReport(ByteReader* r, SampleReport* out) {
-  uint64_t v = 0;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_requested = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_emitted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rows_exhausted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->attempts = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_invalid_value = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_decode_failure = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->rejected_mid_row = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->injected_faults = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->fallback_grammar_uses = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  out->snapped_cells = v;
-  return Status::OK();
+  return r.ExpectEnd();
 }
 
 Status ReadRngChunk(const ArtifactReader& doc, Rng* rng) {
@@ -266,65 +252,49 @@ Status ReadRngChunk(const ArtifactReader& doc, Rng* rng) {
   return Status::OK();
 }
 
-void BuildPrepareStageDoc(const Table& parent, const Table& c1,
-                          const Table& c2,
-                          const std::vector<std::string>& caret1,
-                          const std::vector<std::string>& caret2,
-                          const MappingSystem& mapping,
-                          const PipelineResult& result, const Rng& rng,
-                          ArtifactWriter* doc) {
+// Prepare (steps 0-2): tables parent, c1, c2; the three result column
+// lists and both caret lists; the mapping.
+Status BuildPrepareStageDoc(const StageOutputs& out,
+                            const MappingSystem& mapping, const Rng& rng,
+                            ArtifactWriter* doc) {
   ByteWriter tables;
-  AppendTable(parent, &tables);
-  AppendTable(c1, &tables);
-  AppendTable(c2, &tables);
+  for (const Table* table : out.tables) AppendTable(*table, &tables);
   doc->AddChunk("tables", std::move(tables).Take());
   ByteWriter lists;
-  AppendStringList(result.identifier_columns_dropped, &lists);
-  AppendStringList(result.contextual_columns, &lists);
-  AppendStringList(result.semantically_mapped_columns, &lists);
-  AppendStringList(caret1, &lists);
-  AppendStringList(caret2, &lists);
+  for (const StringList* list : out.lists) AppendStringList(*list, &lists);
   doc->AddChunk("lists", std::move(lists).Take());
   doc->AddChunk("mapping", mapping.Serialize());
   doc->AddChunk("rng", rng.SaveState());
+  return Status::OK();
 }
 
-Status RestorePrepareStage(const ArtifactReader& doc, Table* parent,
-                           Table* c1, Table* c2,
-                           std::vector<std::string>* caret1,
-                           std::vector<std::string>* caret2,
-                           MappingSystem* mapping, PipelineResult* result,
-                           Rng* rng) {
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("tables"));
-    ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, parent));
-    GREATER_RETURN_NOT_OK(ReadTable(&r, c1));
-    GREATER_RETURN_NOT_OK(ReadTable(&r, c2));
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
+Status RestorePrepareStage(const ArtifactReader& doc, const StageOutputs& out,
+                           MappingSystem* mapping, Rng* rng) {
+  std::vector<Table> tables;
+  std::vector<StringList> lists(out.lists.size());
+  Rng restored;
+  GREATER_RETURN_NOT_OK(ReadTables(doc, "tables", out.tables.size(), &tables));
+  GREATER_ASSIGN_OR_RETURN(std::string_view list_bytes, doc.Chunk("lists"));
+  ByteReader r(list_bytes);
+  for (StringList& list : lists) {
+    GREATER_RETURN_NOT_OK(ReadStringList(&r, &list));
   }
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("lists"));
-    ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->identifier_columns_dropped));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, &result->contextual_columns));
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->semantically_mapped_columns));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, caret1));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, caret2));
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
-  }
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("mapping"));
-    GREATER_ASSIGN_OR_RETURN(*mapping,
-                             MappingSystem::Deserialize(std::string(payload)));
-  }
-  return ReadRngChunk(doc, rng);
+  GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  GREATER_ASSIGN_OR_RETURN(std::string_view mapping_bytes,
+                           doc.Chunk("mapping"));
+  GREATER_ASSIGN_OR_RETURN(
+      MappingSystem restored_mapping,
+      MappingSystem::Deserialize(std::string(mapping_bytes)));
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored));
+  Commit(&tables, out.tables);
+  Commit(&lists, out.lists);
+  *mapping = std::move(restored_mapping);
+  *rng = restored;
+  return Status::OK();
 }
 
-void BuildFuseStageDoc(const Table& fused, const PipelineResult& result,
-                       const Rng& rng, ArtifactWriter* doc) {
+Status BuildFuseStageDoc(const Table& fused, const PipelineResult& result,
+                         const Rng& rng, ArtifactWriter* doc) {
   ByteWriter fused_bytes;
   AppendTable(fused, &fused_bytes);
   doc->AddChunk("fused", std::move(fused_bytes).Take());
@@ -338,35 +308,35 @@ void BuildFuseStageDoc(const Table& fused, const PipelineResult& result,
   stats.PutU64(result.reduction.columns_removed);
   doc->AddChunk("stats", std::move(stats).Take());
   doc->AddChunk("rng", rng.SaveState());
+  return Status::OK();
 }
 
 Status RestoreFuseStage(const ArtifactReader& doc, Table* fused,
                         PipelineResult* result, Rng* rng) {
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("fused"));
-    ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, fused));
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
-  }
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("stats"));
-    ByteReader r(payload);
-    uint64_t v = 0;
-    GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->flattened_rows = v;
-    GREATER_RETURN_NOT_OK(
-        ReadStringList(&r, &result->independence.independent));
-    GREATER_RETURN_NOT_OK(ReadStringList(&r, &result->independence.dependent));
-    GREATER_RETURN_NOT_OK(r.GetF64(&result->independence.threshold));
-    GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.rows_before = v;
-    GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.rows_after = v;
-    GREATER_RETURN_NOT_OK(r.GetU64(&v));
-    result->reduction.columns_removed = v;
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
-  }
-  return ReadRngChunk(doc, rng);
+  std::vector<Table> tables;
+  PipelineResult stats;
+  Rng restored;
+  GREATER_RETURN_NOT_OK(ReadTables(doc, "fused", 1, &tables));
+  GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("stats"));
+  ByteReader r(payload);
+  uint64_t flattened = 0, before = 0, after = 0, removed = 0;
+  GREATER_RETURN_NOT_OK(r.GetU64(&flattened));
+  GREATER_RETURN_NOT_OK(ReadStringList(&r, &stats.independence.independent));
+  GREATER_RETURN_NOT_OK(ReadStringList(&r, &stats.independence.dependent));
+  GREATER_RETURN_NOT_OK(r.GetF64(&stats.independence.threshold));
+  GREATER_RETURN_NOT_OK(r.GetU64(&before));
+  GREATER_RETURN_NOT_OK(r.GetU64(&after));
+  GREATER_RETURN_NOT_OK(r.GetU64(&removed));
+  GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored));
+  *fused = std::move(tables[0]);
+  result->flattened_rows = flattened;
+  result->independence = std::move(stats.independence);
+  result->reduction.rows_before = before;
+  result->reduction.rows_after = after;
+  result->reduction.columns_removed = removed;
+  *rng = restored;
+  return Status::OK();
 }
 
 Status BuildFitStageDoc(
@@ -383,46 +353,88 @@ Status BuildFitStageDoc(
 Status RestoreFitStage(const ArtifactReader& doc,
                        const std::vector<RelationalSynthesizer*>& models,
                        Rng* rng) {
+  std::vector<RelationalSynthesizer> loaded(models.size());
+  Rng restored;
   for (size_t i = 0; i < models.size(); ++i) {
     GREATER_ASSIGN_OR_RETURN(std::string_view payload,
                              doc.Chunk("model" + std::to_string(i)));
-    GREATER_RETURN_NOT_OK_CTX(models[i]->DeserializeBinary(payload),
-                              "checkpointed model " + std::to_string(i));
+    GREATER_RETURN_NOT_OK(loaded[i].DeserializeBinary(payload));
   }
-  return ReadRngChunk(doc, rng);
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored));
+  Commit(&loaded, models);
+  *rng = restored;
+  return Status::OK();
 }
 
-void BuildSampleStageDoc(const std::vector<const Table*>& tables,
-                         const SampleReport& report, const Rng& rng,
-                         ArtifactWriter* doc) {
+// Sample: one chunk per output table, then the run's sample report.
+Status BuildSampleStageDoc(const std::vector<Table*>& tables,
+                           const SampleReport& report, const Rng& rng,
+                           ArtifactWriter* doc) {
   for (size_t i = 0; i < tables.size(); ++i) {
     ByteWriter w;
     AppendTable(*tables[i], &w);
     doc->AddChunk("table" + std::to_string(i), std::move(w).Take());
   }
   ByteWriter w;
-  AppendReport(report, &w);
+  AppendSampleReport(report, &w);
   doc->AddChunk("report", std::move(w).Take());
   doc->AddChunk("rng", rng.SaveState());
+  return Status::OK();
 }
 
 Status RestoreSampleStage(const ArtifactReader& doc,
                           const std::vector<Table*>& tables,
                           SampleReport* report, Rng* rng) {
+  std::vector<Table> loaded;
+  SampleReport stored;
+  Rng restored;
   for (size_t i = 0; i < tables.size(); ++i) {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload,
-                             doc.Chunk("table" + std::to_string(i)));
-    ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadTable(&r, tables[i]));
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
+    GREATER_RETURN_NOT_OK(
+        ReadTables(doc, "table" + std::to_string(i), 1, &loaded));
   }
-  {
-    GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("report"));
-    ByteReader r(payload);
-    GREATER_RETURN_NOT_OK(ReadReport(&r, report));
-    GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  GREATER_ASSIGN_OR_RETURN(std::string_view payload, doc.Chunk("report"));
+  ByteReader r(payload);
+  GREATER_RETURN_NOT_OK(ReadSampleReport(&r, &stored));
+  GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  if (!stored.Reconciles()) {
+    return Status::DataLoss("checkpointed sample report does not reconcile");
   }
-  return ReadRngChunk(doc, rng);
+  GREATER_RETURN_NOT_OK(ReadRngChunk(doc, &restored));
+  Commit(&loaded, tables);
+  *report = stored;
+  *rng = restored;
+  return Status::OK();
+}
+
+// Stage grains chain over stored output: a hit mixes the stored document
+// into the chain once `decode` has accepted it, and a store mixes the
+// document it writes, so downstream keys agree on the hit and miss paths.
+// The resume span opens as soon as a document is read.
+bool RestoreStage(CheckpointStore* ckpt, const char* name,
+                  std::optional<Span>* stage,
+                  const std::function<Status(const ArtifactReader&)>& decode) {
+  if (!ckpt->enabled()) return false;
+  return ckpt->TryRestore(
+      name, ckpt->chain(), [&](const ArtifactReader& doc) -> Status {
+        stage->emplace("stage.resume");
+        GREATER_RETURN_NOT_OK(decode(doc));
+        ckpt->Mix(doc.bytes());
+        return Status::OK();
+      });
+}
+
+// Builds and persists stage `name`'s document; a no-op without a
+// checkpoint directory, where nothing reads it.
+Status StoreStage(CheckpointStore* ckpt, const char* name,
+                  const std::function<Status(ArtifactWriter*)>& build) {
+  if (!ckpt->enabled()) return Status::OK();
+  ArtifactWriter doc = ckpt->Document();
+  GREATER_RETURN_NOT_OK(build(&doc));
+  const uint64_t key = ckpt->chain();
+  const std::string bytes = doc.Finish();
+  ckpt->Mix(bytes);
+  ckpt->Store(name, key, bytes);
+  return Status::OK();
 }
 
 }  // namespace
@@ -486,13 +498,13 @@ Result<PipelineResult> MultiTablePipeline::Run(
   GREATER_RETURN_NOT_OK_CTX(ValidateStageInput(child2, key_column, "child2"),
                             StageContext("validate-input", "child2"));
 
-  // ---- Durable stage checkpoints (see checkpoint.h). The chain seed
-  // fingerprints everything that can influence any stage: the full run
-  // configuration, the key column, the starting RNG state, and both input
-  // tables. A resumed run either reproduces this one bit for bit or
-  // misses every key. ----
-  StageCheckpointer ckpt(options_.checkpoint_dir);
-  {
+  // ---- Durable stage checkpoints (see common/checkpoint_store.h). The
+  // chain seed fingerprints everything that can influence any stage: the
+  // full run configuration, the key column, the starting RNG state, and
+  // both input tables. A resumed run either reproduces this one bit for
+  // bit or misses every key. ----
+  CheckpointStore ckpt(CheckpointScope::kStage, options_.checkpoint_dir);
+  if (ckpt.enabled()) {
     ByteWriter w;
     w.PutU8(static_cast<uint8_t>(options_.fusion));
     w.PutU8(static_cast<uint8_t>(options_.semantic));
@@ -521,8 +533,11 @@ Result<PipelineResult> MultiTablePipeline::Run(
     w.PutString(key_column);
     w.PutString(rng->SaveState());
     ckpt.Mix(w.bytes());
-    ckpt.MixTable(child1);
-    ckpt.MixTable(child2);
+    for (const Table* input : {&child1, &child2}) {
+      ByteWriter table;
+      AppendTable(*input, &table);
+      ckpt.Mix(table.bytes());
+    }
   }
 
   // Locals produced by the prepare stage (steps 0-2), restored wholesale
@@ -531,13 +546,15 @@ Result<PipelineResult> MultiTablePipeline::Run(
   Table parent, c1, c2;
   MappingSystem mapping;
 
-  if (auto hit = ckpt.TryLoad("prepare")) {
-    stage.emplace("stage.resume");
-    GREATER_RETURN_NOT_OK_CTX(
-        RestorePrepareStage(*hit, &parent, &c1, &c2, &caret1, &caret2,
-                            &mapping, &result, rng),
-        StageContext("prepare", "checkpoint"));
-  } else {
+  const StageOutputs prepared{
+      {&parent, &c1, &c2},
+      {&result.identifier_columns_dropped, &result.contextual_columns,
+       &result.semantically_mapped_columns, &caret1, &caret2}};
+  if (!RestoreStage(&ckpt, "prepare", &stage,
+                    [&](const ArtifactReader& doc) {
+                      return RestorePrepareStage(doc, prepared, &mapping,
+                                                 rng);
+                    })) {
   stage.emplace("stage.enhancement");
   // ---- Step 0: identifier-column removal (Sec. 4.1.2). ----
   if (options_.drop_identifier_columns) {
@@ -686,11 +703,10 @@ Result<PipelineResult> MultiTablePipeline::Run(
     }
   }
 
-  ArtifactWriter prepare_doc(StageCheckpointer::kKind,
-                             StageCheckpointer::kVersion);
-  BuildPrepareStageDoc(parent, c1, c2, caret1, caret2, mapping, result,
-                       *rng, &prepare_doc);
-  ckpt.Store("prepare", prepare_doc);
+  GREATER_RETURN_NOT_OK(
+      StoreStage(&ckpt, "prepare", [&](ArtifactWriter* doc) {
+        return BuildPrepareStageDoc(prepared, mapping, *rng, doc);
+      }));
   }  // prepare stage (checkpoint miss path)
 
   // ---- Steps 3+4: fusion and synthesis. ----
@@ -715,32 +731,30 @@ Result<PipelineResult> MultiTablePipeline::Run(
   if (options_.fusion == FusionMethod::kDerecIndependent) {
     RelationalSynthesizer rs1(rs_options);
     RelationalSynthesizer rs2(rs_options);
-    if (auto hit = ckpt.TryLoad("fit")) {
-      stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFitStage(*hit, {&rs1, &rs2}, rng),
-                                StageContext("fit", "checkpoint"));
-    } else {
+    if (!RestoreStage(&ckpt, "fit", &stage, [&](const ArtifactReader& doc) {
+          return RestoreFitStage(doc, {&rs1, &rs2}, rng);
+        })) {
       stage.emplace("stage.fit");
       GREATER_RETURN_NOT_OK_CTX(rs1.Fit(parent, c1, key_column, rng),
                                 StageContext("fit", "child1"));
       GREATER_RETURN_NOT_OK_CTX(rs2.Fit(parent, c2, key_column, rng),
                                 StageContext("fit", "child2"));
-      ArtifactWriter doc(StageCheckpointer::kKind,
-                         StageCheckpointer::kVersion);
-      GREATER_RETURN_NOT_OK_CTX(BuildFitStageDoc({&rs1, &rs2}, *rng, &doc),
-                                StageContext("fit", "child1+child2"));
-      ckpt.Store("fit", doc);
+      GREATER_RETURN_NOT_OK_CTX(
+          StoreStage(&ckpt, "fit",
+                     [&](ArtifactWriter* doc) {
+                       return BuildFitStageDoc({&rs1, &rs2}, *rng, doc);
+                     }),
+          StageContext("fit", "child1+child2"));
     }
     RelationalSample sample1;
     Table child2_rows;
-    if (auto hit = ckpt.TryLoad("sample")) {
-      stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(
-          RestoreSampleStage(*hit,
-                             {&sample1.parent, &sample1.child, &child2_rows},
-                             &result.sample_report, rng),
-          StageContext("sample", "checkpoint"));
-    } else {
+    if (!RestoreStage(&ckpt, "sample", &stage,
+                      [&](const ArtifactReader& doc) {
+                        return RestoreSampleStage(
+                            doc,
+                            {&sample1.parent, &sample1.child, &child2_rows},
+                            &result.sample_report, rng);
+                      })) {
       stage.emplace("stage.sample");
       GREATER_ASSIGN_OR_RETURN_CTX(
           sample1, rs1.Sample(num_parents, rng, &result.sample_report),
@@ -749,11 +763,12 @@ Result<PipelineResult> MultiTablePipeline::Run(
           child2_rows,
           rs2.SampleChildren(sample1.parent, rng, &result.sample_report),
           StageContext("sample", "child2"));
-      ArtifactWriter doc(StageCheckpointer::kKind,
-                         StageCheckpointer::kVersion);
-      BuildSampleStageDoc({&sample1.parent, &sample1.child, &child2_rows},
-                          result.sample_report, *rng, &doc);
-      ckpt.Store("sample", doc);
+      GREATER_RETURN_NOT_OK(
+          StoreStage(&ckpt, "sample", [&](ArtifactWriter* doc) {
+            return BuildSampleStageDoc(
+                {&sample1.parent, &sample1.child, &child2_rows},
+                result.sample_report, *rng, doc);
+          }));
     }
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
@@ -767,10 +782,9 @@ Result<PipelineResult> MultiTablePipeline::Run(
     result.fused_training_rows = c1.num_rows() + c2.num_rows();
   } else {
     Table fused;
-    if (auto hit = ckpt.TryLoad("fuse")) {
-      stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFuseStage(*hit, &fused, &result, rng),
-                                StageContext("fuse", "checkpoint"));
+    if (RestoreStage(&ckpt, "fuse", &stage, [&](const ArtifactReader& doc) {
+          return RestoreFuseStage(doc, &fused, &result, rng);
+        })) {
       MetricsRegistry::Global()
           .GetGauge("pipeline.flattened_rows")
           .Set(static_cast<double>(result.flattened_rows));
@@ -829,44 +843,43 @@ Result<PipelineResult> MultiTablePipeline::Run(
         result.reduction.rows_after = flat.num_rows();
       }
     }
-    ArtifactWriter doc(StageCheckpointer::kKind, StageCheckpointer::kVersion);
-    BuildFuseStageDoc(fused, result, *rng, &doc);
-    ckpt.Store("fuse", doc);
+    GREATER_RETURN_NOT_OK(
+        StoreStage(&ckpt, "fuse", [&](ArtifactWriter* doc) {
+          return BuildFuseStageDoc(fused, result, *rng, doc);
+        }));
     }  // fuse stage (checkpoint miss path)
     result.fused_training_rows = fused.num_rows();
 
     RelationalSynthesizer rs(rs_options);
-    if (auto hit = ckpt.TryLoad("fit")) {
-      stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(RestoreFitStage(*hit, {&rs}, rng),
-                                StageContext("fit", "checkpoint"));
-    } else {
+    if (!RestoreStage(&ckpt, "fit", &stage, [&](const ArtifactReader& doc) {
+          return RestoreFitStage(doc, {&rs}, rng);
+        })) {
       stage.emplace("stage.fit");
       GREATER_RETURN_NOT_OK_CTX(rs.Fit(parent, fused, key_column, rng),
                                 StageContext("fit", "fused"));
-      ArtifactWriter fit_doc(StageCheckpointer::kKind,
-                             StageCheckpointer::kVersion);
-      GREATER_RETURN_NOT_OK_CTX(BuildFitStageDoc({&rs}, *rng, &fit_doc),
-                                StageContext("fit", "fused"));
-      ckpt.Store("fit", fit_doc);
+      GREATER_RETURN_NOT_OK_CTX(
+          StoreStage(&ckpt, "fit",
+                     [&](ArtifactWriter* doc) {
+                       return BuildFitStageDoc({&rs}, *rng, doc);
+                     }),
+          StageContext("fit", "fused"));
     }
     RelationalSample sample;
-    if (auto hit = ckpt.TryLoad("sample")) {
-      stage.emplace("stage.resume");
-      GREATER_RETURN_NOT_OK_CTX(
-          RestoreSampleStage(*hit, {&sample.parent, &sample.child},
-                             &result.sample_report, rng),
-          StageContext("sample", "checkpoint"));
-    } else {
+    if (!RestoreStage(&ckpt, "sample", &stage,
+                      [&](const ArtifactReader& doc) {
+                        return RestoreSampleStage(
+                            doc, {&sample.parent, &sample.child},
+                            &result.sample_report, rng);
+                      })) {
       stage.emplace("stage.sample");
       GREATER_ASSIGN_OR_RETURN_CTX(
           sample, rs.Sample(num_parents, rng, &result.sample_report),
           StageContext("sample", "fused"));
-      ArtifactWriter sample_doc(StageCheckpointer::kKind,
-                                StageCheckpointer::kVersion);
-      BuildSampleStageDoc({&sample.parent, &sample.child},
-                          result.sample_report, *rng, &sample_doc);
-      ckpt.Store("sample", sample_doc);
+      GREATER_RETURN_NOT_OK(
+          StoreStage(&ckpt, "sample", [&](ArtifactWriter* doc) {
+            return BuildSampleStageDoc({&sample.parent, &sample.child},
+                                       result.sample_report, *rng, doc);
+          }));
     }
     stage.emplace("stage.flatten");
     GREATER_ASSIGN_OR_RETURN_CTX(
@@ -953,10 +966,12 @@ Result<PipelineResult> MultiTablePipeline::RunFromCsv(
   Table child1, child2;
   {
     Span span("pipeline.ingest");
-    // Per-file chunk checkpointers: a killed ingest re-reads (cheap) but
+    // Per-file chunk stores: a killed ingest re-reads (cheap) but
     // re-parses only the chunk that was in flight.
-    ChunkCheckpointer ckpt1(options_.checkpoint_dir, "ingest.child1");
-    ChunkCheckpointer ckpt2(options_.checkpoint_dir, "ingest.child2");
+    CheckpointStore ckpt1(CheckpointScope::kChunk, options_.checkpoint_dir,
+                          "ingest.child1");
+    CheckpointStore ckpt2(CheckpointScope::kChunk, options_.checkpoint_dir,
+                          "ingest.child2");
     GREATER_ASSIGN_OR_RETURN_CTX(
         child1,
         ReadCsvFileStreaming(csv1_path, csv_options, stream, policy,

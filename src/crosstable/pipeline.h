@@ -83,9 +83,9 @@ struct PipelineOptions {
   /// state, and every upstream stage's output. A re-run over identical
   /// inputs loads the completed stages and resumes at the first missing
   /// one, producing byte-identical final tables; any change upstream
-  /// flips every downstream key, so stale state is never reused. Corrupt
-  /// or torn checkpoint files degrade to recomputation, never failure
-  /// (see StageCheckpointer in crosstable/checkpoint.h).
+  /// flips every downstream key, so stale state is never reused. Corrupt,
+  /// torn or undecodable checkpoint files degrade to recomputation, never
+  /// failure (see common/checkpoint_store.h).
   std::string checkpoint_dir;
   /// Erase the mapping system after synthesis (privacy, Sec. 3.2.3).
   bool erase_mapping_after_run = true;

@@ -186,6 +186,7 @@ Result<MappingSystem> DeserializeBinary(const std::string& bytes) {
   ByteReader r(payload);
   uint32_t num_mappings = 0;
   GREATER_RETURN_NOT_OK(r.GetU32(&num_mappings));
+  GREATER_RETURN_NOT_OK(r.CheckCount(num_mappings, 4 + 1 + 4));
   std::vector<ColumnMapping> mappings;
   mappings.reserve(num_mappings);
   for (uint32_t m = 0; m < num_mappings; ++m) {

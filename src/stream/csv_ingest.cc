@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "stream/bounded_queue.h"
 #include "stream/stream_runtime.h"
@@ -82,6 +81,7 @@ Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
   ByteReader rows(row_bytes);
   uint32_t nrows = 0;
   GREATER_RETURN_NOT_OK(rows.GetU32(&nrows));
+  GREATER_RETURN_NOT_OK(rows.CheckCount(nrows, 4 * num_cols));
   out->rows.resize(nrows);
   for (uint32_t r = 0; r < nrows; ++r) {
     out->rows[r].resize(num_cols);
@@ -96,6 +96,7 @@ Status DecodeChunk(const ArtifactReader& doc, const std::string& source,
   ByteReader quar(quar_bytes);
   uint32_t nquar = 0;
   GREATER_RETURN_NOT_OK(quar.GetU32(&nquar));
+  GREATER_RETURN_NOT_OK(quar.CheckCount(nquar, 8 + 4 + 4 + 4));
   out->quarantined.resize(nquar);
   for (uint32_t i = 0; i < nquar; ++i) {
     QuarantinedRecord& q = out->quarantined[i];
@@ -149,7 +150,7 @@ struct CsvChunkReader::Impl {
   StreamIngestReport* report = nullptr;
   QuarantineWriter count_only{""};
   QuarantineWriter* quarantine = nullptr;
-  ChunkCheckpointer* ckpt = nullptr;
+  CheckpointStore* ckpt = nullptr;  // null unless enabled
 
   BoundedQueue<std::unique_ptr<ChunkTask>> raw_q;
   BoundedQueue<std::unique_ptr<CsvChunk>> parsed_q;
@@ -163,11 +164,20 @@ struct CsvChunkReader::Impl {
   bool finished = false;  // pipeline joined
   Status final_status;    // runtime.Finish() outcome
 
-  Status Start(BlockSource next_block);
+  Status Start(BlockSource next_block, StreamIngestReport* report_in,
+               CheckpointStore* ckpt_in, QuarantineWriter* quarantine_in);
   Status FinishPipeline();
 };
 
-Status CsvChunkReader::Impl::Start(BlockSource next_block) {
+Status CsvChunkReader::Impl::Start(BlockSource next_block,
+                                   StreamIngestReport* report_in,
+                                   CheckpointStore* ckpt_in,
+                                   QuarantineWriter* quarantine_in) {
+  report = report_in != nullptr ? report_in : &local_report;
+  *report = StreamIngestReport();
+  quarantine = quarantine_in != nullptr ? quarantine_in : &count_only;
+  // A disabled store reads no keys, so the chain is not computed for it.
+  ckpt = ckpt_in != nullptr && ckpt_in->enabled() ? ckpt_in : nullptr;
   // The header is consumed up front: workers validate against it and the
   // chain must cover it before any chunk.
   CsvRecordSplitter splitter(csv.delimiter);
@@ -224,25 +234,20 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
         std::string chunk_raw;  // raw bytes of this chunk, for the chain
         auto flush_chunk = [&]() {
           task->seq = seq;
-          task->key = ckpt != nullptr ? ckpt->MixChunk(chunk_raw) : 0;
           if (ckpt != nullptr) {
-            std::optional<ArtifactReader> doc = ckpt->TryLoad(seq, task->key);
-            if (doc.has_value()) {
-              auto pre = std::make_unique<CsvChunk>();
-              Status decoded =
-                  DecodeChunk(*doc, source_label, num_cols, pre.get());
-              if (decoded.ok()) {
-                pre->seq = seq;
-                pre->from_checkpoint = true;
-                task->preloaded = std::move(pre);
-                task->records.clear();
-              } else {
-                // Parsed as an artifact but not as a chunk document:
-                // corrupt -> recompute from the raw records we still hold.
-                MetricsRegistry::Global()
-                    .GetCounter("stream.chunk_corrupt")
-                    .Increment();
-              }
+            task->key = ckpt->Mix(chunk_raw);
+            auto pre = std::make_unique<CsvChunk>();
+            // A document that does not decode is corrupt: the chunk
+            // recomputes from the raw records we still hold.
+            if (ckpt->TryRestore(std::to_string(seq), task->key,
+                                 [&](const ArtifactReader& doc) {
+                                   return DecodeChunk(doc, source_label,
+                                                      num_cols, pre.get());
+                                 })) {
+              pre->seq = seq;
+              pre->from_checkpoint = true;
+              task->preloaded = std::move(pre);
+              task->records.clear();
             }
           }
           bool accepted = raw_q.Push(std::move(task));
@@ -261,8 +266,10 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
           }
           switch (*next) {
             case CsvRecordSplitter::Next::kRecord:
-              chunk_raw += record.raw;
-              chunk_raw += '\n';
+              if (ckpt != nullptr) {
+                chunk_raw += record.raw;
+                chunk_raw += '\n';
+              }
               task->records.push_back(std::move(record));
               if (task->records.size() >= chunk_rows && !flush_chunk()) {
                 return Status::OK();  // pipeline is shutting down
@@ -337,10 +344,9 @@ Status CsvChunkReader::Impl::Start(BlockSource next_block) {
             chunk->rows.push_back(std::move(record.fields));
           }
           if (ckpt != nullptr) {
-            ArtifactWriter doc(ChunkCheckpointer::kKind,
-                               ChunkCheckpointer::kVersion);
+            ArtifactWriter doc = ckpt->Document();
             EncodeChunk(*chunk, &doc);
-            ckpt->Store(task->seq, task->key, doc);
+            ckpt->Store(std::to_string(task->seq), task->key, doc.Finish());
           }
         }
         if (!parsed_q.Push(std::move(chunk))) break;
@@ -431,7 +437,7 @@ Status CsvChunkReader::Close() {
 Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     const std::string& path, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
-    StreamIngestReport* report, ChunkCheckpointer* checkpointer,
+    StreamIngestReport* report, CheckpointStore* checkpointer,
     QuarantineWriter* quarantine) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) {
@@ -449,18 +455,15 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenFile(
     return block;
   };
   auto impl = std::make_unique<Impl>(csv_options, options, policy, path);
-  impl->report = report != nullptr ? report : &impl->local_report;
-  *impl->report = StreamIngestReport();
-  impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
-  impl->ckpt = checkpointer;
-  GREATER_RETURN_NOT_OK(impl->Start(std::move(source)));
+  GREATER_RETURN_NOT_OK(
+      impl->Start(std::move(source), report, checkpointer, quarantine));
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
 }
 
 Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
     const std::string& text, const CsvReadOptions& csv_options,
     const StreamOptions& options, StreamPolicy policy,
-    StreamIngestReport* report, ChunkCheckpointer* checkpointer,
+    StreamIngestReport* report, CheckpointStore* checkpointer,
     QuarantineWriter* quarantine, const std::string& source_label) {
   size_t block_bytes = std::max<size_t>(1, options.io_block_bytes);
   auto copy = std::make_shared<std::string>(text);
@@ -474,11 +477,8 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::OpenString(
   };
   auto impl =
       std::make_unique<Impl>(csv_options, options, policy, source_label);
-  impl->report = report != nullptr ? report : &impl->local_report;
-  *impl->report = StreamIngestReport();
-  impl->quarantine = quarantine != nullptr ? quarantine : &impl->count_only;
-  impl->ckpt = checkpointer;
-  GREATER_RETURN_NOT_OK(impl->Start(std::move(source)));
+  GREATER_RETURN_NOT_OK(
+      impl->Start(std::move(source), report, checkpointer, quarantine));
   return std::unique_ptr<CsvChunkReader>(new CsvChunkReader(std::move(impl)));
 }
 
@@ -523,7 +523,7 @@ Result<Table> ReadCsvFileStreaming(const std::string& path,
                                    const StreamOptions& options,
                                    StreamPolicy policy,
                                    StreamIngestReport* report,
-                                   ChunkCheckpointer* checkpointer,
+                                   CheckpointStore* checkpointer,
                                    QuarantineWriter* quarantine) {
   GREATER_FAULT_POINT("csv.read");
   Span span("stream.ingest");
@@ -539,7 +539,7 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const StreamOptions& options,
                                      StreamPolicy policy,
                                      StreamIngestReport* report,
-                                     ChunkCheckpointer* checkpointer,
+                                     CheckpointStore* checkpointer,
                                      QuarantineWriter* quarantine,
                                      const std::string& source_label) {
   GREATER_FAULT_POINT("csv.read");
@@ -556,7 +556,7 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const StreamOptions& options,
                                        StreamPolicy policy,
                                        StreamIngestReport* report,
-                                       ChunkCheckpointer* checkpointer,
+                                       CheckpointStore* checkpointer,
                                        QuarantineWriter* quarantine) {
   Span span("stream.schema");
   GREATER_ASSIGN_OR_RETURN(

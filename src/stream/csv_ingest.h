@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/checkpoint_store.h"
 #include "common/status.h"
-#include "stream/chunk_checkpoint.h"
 #include "stream/quarantine.h"
 #include "stream/stream_options.h"
 #include "tabular/csv.h"
@@ -43,17 +43,18 @@ namespace greater {
 /// including on a resumed run (checkpointed chunks re-emit their
 /// quarantined records).
 ///
-/// `checkpointer` (optional) must be freshly constructed per call — the
-/// ingest seeds its chain with an options fingerprint and the chain then
-/// advances with this file's bytes. `quarantine` (optional) receives
-/// diverted records under the lenient policy; without it they are still
-/// counted in the report and the `stream.quarantined_records` counter.
+/// `checkpointer` (optional) is a chunk-scope store that must be freshly
+/// constructed per call — the ingest seeds its chain with an options
+/// fingerprint and the chain then advances with this file's bytes.
+/// `quarantine` (optional) receives diverted records under the lenient
+/// policy; without it they are still counted in the report and the
+/// `stream.quarantined_records` counter.
 Result<Table> ReadCsvFileStreaming(const std::string& path,
                                    const CsvReadOptions& csv_options,
                                    const StreamOptions& options,
                                    StreamPolicy policy,
                                    StreamIngestReport* report = nullptr,
-                                   ChunkCheckpointer* checkpointer = nullptr,
+                                   CheckpointStore* checkpointer = nullptr,
                                    QuarantineWriter* quarantine = nullptr);
 
 /// In-memory variant (tests, embedded inputs): identical semantics, the
@@ -64,7 +65,7 @@ Result<Table> ReadCsvStringStreaming(const std::string& text,
                                      const StreamOptions& options,
                                      StreamPolicy policy,
                                      StreamIngestReport* report = nullptr,
-                                     ChunkCheckpointer* checkpointer = nullptr,
+                                     CheckpointStore* checkpointer = nullptr,
                                      QuarantineWriter* quarantine = nullptr,
                                      const std::string& source_label =
                                          "<memory>");
@@ -107,7 +108,7 @@ class CsvChunkReader {
       const std::string& path, const CsvReadOptions& csv_options,
       const StreamOptions& options, StreamPolicy policy,
       StreamIngestReport* report = nullptr,
-      ChunkCheckpointer* checkpointer = nullptr,
+      CheckpointStore* checkpointer = nullptr,
       QuarantineWriter* quarantine = nullptr);
 
   /// In-memory variant (tests, embedded inputs).
@@ -115,7 +116,7 @@ class CsvChunkReader {
       const std::string& text, const CsvReadOptions& csv_options,
       const StreamOptions& options, StreamPolicy policy,
       StreamIngestReport* report = nullptr,
-      ChunkCheckpointer* checkpointer = nullptr,
+      CheckpointStore* checkpointer = nullptr,
       QuarantineWriter* quarantine = nullptr,
       const std::string& source_label = "<memory>");
 
@@ -151,7 +152,7 @@ Result<Schema> InferCsvSchemaStreaming(const std::string& path,
                                        const StreamOptions& options,
                                        StreamPolicy policy,
                                        StreamIngestReport* report = nullptr,
-                                       ChunkCheckpointer* checkpointer =
+                                       CheckpointStore* checkpointer =
                                            nullptr,
                                        QuarantineWriter* quarantine = nullptr);
 

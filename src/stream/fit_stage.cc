@@ -6,13 +6,16 @@
 
 namespace greater {
 
+namespace {
+constexpr const char* kCheckpointLabel = "oocore.fit";
+}  // namespace
+
 Result<FitStage> FitStage::Open(const std::string& csv_path,
                                 const Options& options) {
   Schema schema;
   StreamIngestReport report;
-  // A disabled checkpointer (empty dir) still advances the chain, so the
-  // content fingerprint is available either way.
-  ChunkCheckpointer ckpt(options.checkpoint_dir, options.checkpoint_label);
+  CheckpointStore ckpt(CheckpointScope::kChunk, options.checkpoint_dir,
+                       kCheckpointLabel);
   GREATER_ASSIGN_OR_RETURN(
       schema, InferCsvSchemaStreaming(csv_path, options.csv, options.stream,
                                       options.policy, &report, &ckpt));
@@ -24,22 +27,21 @@ Result<FitStage> FitStage::Open(const std::string& csv_path,
 
 TableChunkSource FitStage::ChunkSource() {
   return [this]() -> Result<TableChunkStream> {
-    // Each pass gets a fresh checkpointer (the chain restarts per pass)
-    // over the shared store, and a fresh reader. Both live in shared
-    // state owned by the stream closure; the checkpointer must outlive
-    // the reader, whose workers store into it.
+    // Each pass gets a fresh store (the chain restarts per pass) over the
+    // shared directory, and a fresh reader. Both live in shared state
+    // owned by the stream closure; the store must outlive the reader,
+    // whose workers store into it.
     struct PassState {
-      std::unique_ptr<ChunkCheckpointer> ckpt;
+      explicit PassState(const std::string& dir)
+          : ckpt(CheckpointScope::kChunk, dir, kCheckpointLabel) {}
+      CheckpointStore ckpt;
       std::unique_ptr<CsvChunkReader> reader;
     };
-    auto state = std::make_shared<PassState>();
-    state->ckpt = std::make_unique<ChunkCheckpointer>(
-        options_.checkpoint_dir, options_.checkpoint_label);
+    auto state = std::make_shared<PassState>(options_.checkpoint_dir);
     GREATER_ASSIGN_OR_RETURN(
         state->reader,
         CsvChunkReader::OpenFile(csv_path_, options_.csv, options_.stream,
-                                 options_.policy, &report_,
-                                 state->ckpt.get()));
+                                 options_.policy, &report_, &state->ckpt));
     return TableChunkStream(
         [this, state]() -> Result<std::optional<Table>> {
           GREATER_ASSIGN_OR_RETURN(std::optional<CsvChunk> chunk,

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "stream/chunk_checkpoint.h"
 #include "synth/batch_decode.h"
 #include "tabular/csv.h"
 #include "tabular/table_builder.h"
@@ -20,41 +19,27 @@
 namespace greater {
 namespace {
 
-void AppendReport(const SampleReport& report, ByteWriter* w) {
-  w->PutU64(report.rows_requested);
-  w->PutU64(report.rows_emitted);
-  w->PutU64(report.rows_exhausted);
-  w->PutU64(report.attempts);
-  w->PutU64(report.rejected_invalid_value);
-  w->PutU64(report.rejected_decode_failure);
-  w->PutU64(report.rejected_mid_row);
-  w->PutU64(report.injected_faults);
-  w->PutU64(report.fallback_grammar_uses);
-  w->PutU64(report.snapped_cells);
-}
-
-Status ReadReport(ByteReader* r, SampleReport* report) {
-  uint64_t v = 0;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_requested = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_emitted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rows_exhausted = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->attempts = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_invalid_value = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_decode_failure = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->rejected_mid_row = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->injected_faults = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->fallback_grammar_uses = v;
-  GREATER_RETURN_NOT_OK(r->GetU64(&v));
-  report->snapped_cells = v;
+// Decodes a stored emission chunk into `text` and `report`, refusing a
+// document whose report does not account for exactly the chunk's rows or
+// whose CSV text cannot hold the rows the report emitted (every rendered
+// row ends in a newline; quoted cells may add more).
+Status DecodeEmitChunk(const ArtifactReader& doc, size_t rows_requested,
+                       std::string* text, SampleReport* report) {
+  GREATER_ASSIGN_OR_RETURN(std::string_view csv, doc.Chunk("csv"));
+  GREATER_ASSIGN_OR_RETURN(std::string_view report_bytes, doc.Chunk("report"));
+  ByteReader r(report_bytes);
+  SampleReport stored;
+  GREATER_RETURN_NOT_OK(ReadSampleReport(&r, &stored));
+  GREATER_RETURN_NOT_OK(r.ExpectEnd());
+  if (stored.rows_requested != rows_requested || !stored.Reconciles() ||
+      static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n')) <
+          stored.rows_emitted ||
+      (stored.rows_emitted == 0) != csv.empty() ||
+      (!csv.empty() && csv.back() != '\n')) {
+    return Status::DataLoss("emission chunk does not match its report");
+  }
+  text->assign(csv);
+  *report = stored;
   return Status::OK();
 }
 
@@ -92,7 +77,8 @@ Result<SampleReport> SampleRowsToCsvStreaming(
   // flips every chunk key, so stale checkpoints can never replay. Chunk
   // keys are read only by the checkpoint store, so without one the model
   // is not serialized just to feed them.
-  ChunkCheckpointer ckpt(options.checkpoint_dir, options.checkpoint_label);
+  CheckpointStore ckpt(CheckpointScope::kChunk, options.checkpoint_dir,
+                       "oocore.emit");
   if (ckpt.enabled()) {
     GREATER_ASSIGN_OR_RETURN(std::string model_bytes,
                              model.SerializeBinary());
@@ -144,35 +130,17 @@ Result<SampleReport> SampleRowsToCsvStreaming(
     descriptor.PutU64(chunk_index);
     descriptor.PutU64(begin);
     descriptor.PutU64(end);
-    uint64_t key = ckpt.MixChunk(descriptor.bytes());
+    uint64_t key = ckpt.Mix(descriptor.bytes());
 
     SampleReport chunk_report;
     text.clear();
-    bool replayed = false;
-    if (std::optional<ArtifactReader> doc = ckpt.TryLoad(chunk_index, key);
-        doc.has_value()) {
-      // Decode the stored chunk; corrupt payloads fall through to
-      // recompute, matching the ingest side's policy.
-      auto restore = [&]() -> Status {
-        GREATER_ASSIGN_OR_RETURN(std::string_view csv_bytes,
-                                 doc->Chunk("csv"));
-        GREATER_ASSIGN_OR_RETURN(std::string_view report_bytes,
-                                 doc->Chunk("report"));
-        ByteReader r(report_bytes);
-        GREATER_RETURN_NOT_OK(ReadReport(&r, &chunk_report));
-        GREATER_RETURN_NOT_OK(r.ExpectEnd());
-        text.assign(csv_bytes);
-        return Status::OK();
-      };
-      if (restore().ok()) {
-        replayed = true;
-        hits_counter.Increment();
-      } else {
-        chunk_report = SampleReport();
-        text.clear();
-        metrics.GetCounter("stream.chunk_corrupt").Increment();
-      }
-    }
+    const std::string name = std::to_string(chunk_index);
+    const bool replayed =
+        ckpt.enabled() &&
+        ckpt.TryRestore(name, key, [&](const ArtifactReader& doc) {
+          return DecodeEmitChunk(doc, end - begin, &text, &chunk_report);
+        });
+    if (replayed) hits_counter.Increment();
 
     if (!replayed) {
       GREATER_FAULT_POINT("stream.emit_chunk");
@@ -197,13 +165,12 @@ Result<SampleReport> SampleRowsToCsvStreaming(
       GREATER_ASSIGN_OR_RETURN(Table chunk_table, builder.Build());
       AppendCsvRows(chunk_table, options.delimiter, &text);
       if (ckpt.enabled()) {
-        ArtifactWriter doc(ChunkCheckpointer::kKind,
-                           ChunkCheckpointer::kVersion);
+        ArtifactWriter doc = ckpt.Document();
         doc.AddChunk("csv", text);
         ByteWriter w;
-        AppendReport(chunk_report, &w);
+        AppendSampleReport(chunk_report, &w);
         doc.AddChunk("report", std::move(w).Take());
-        ckpt.Store(chunk_index, key, doc);
+        ckpt.Store(name, key, doc.Finish());
       }
     }
 

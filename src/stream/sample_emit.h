@@ -20,11 +20,11 @@ struct SampleEmitOptions {
   /// fails on the first exhausted row, lenient drops it and keeps going.
   SamplePolicy policy = SamplePolicy::kStrict;
   bool use_model_policy = true;  ///< when true, `policy` is ignored
-  /// Directory for per-chunk crash-resume checkpoints; empty disables.
-  /// A rerun after a kill -9 replays completed chunks from the store and
-  /// produces a byte-identical output file.
+  /// Directory for per-chunk crash-resume checkpoints (label
+  /// "oocore.emit"); empty disables. A rerun after a kill -9 replays
+  /// completed chunks from the store and produces a byte-identical output
+  /// file.
   std::string checkpoint_dir;
-  std::string checkpoint_label = "oocore.emit";
 };
 
 /// Streams `n` sampled rows from a fitted synthesizer into a CSV file,

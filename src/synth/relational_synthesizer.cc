@@ -252,12 +252,14 @@ Status RelationalSynthesizer::DeserializeBinary(std::string_view bytes) {
     GREATER_RETURN_NOT_OK(r.GetString(&loaded.key_column_));
     uint32_t num_parent_features = 0;
     GREATER_RETURN_NOT_OK(r.GetU32(&num_parent_features));
+    GREATER_RETURN_NOT_OK(r.CheckCount(num_parent_features, 4));
     loaded.parent_feature_columns_.resize(num_parent_features);
     for (uint32_t i = 0; i < num_parent_features; ++i) {
       GREATER_RETURN_NOT_OK(r.GetString(&loaded.parent_feature_columns_[i]));
     }
     uint32_t num_child_features = 0;
     GREATER_RETURN_NOT_OK(r.GetU32(&num_child_features));
+    GREATER_RETURN_NOT_OK(r.CheckCount(num_child_features, 4));
     loaded.child_feature_columns_.resize(num_child_features);
     for (uint32_t i = 0; i < num_child_features; ++i) {
       GREATER_RETURN_NOT_OK(r.GetString(&loaded.child_feature_columns_[i]));

@@ -43,6 +43,17 @@ const SynthCounters& GetSynthCounters() {
   return counters;
 }
 
+// Field order of the binary codec; stored checkpoints depend on it.
+constexpr size_t SampleReport::*kCodecFields[] = {
+    &SampleReport::rows_requested,   &SampleReport::rows_emitted,
+    &SampleReport::rows_exhausted,   &SampleReport::attempts,
+    &SampleReport::rejected_invalid_value,
+    &SampleReport::rejected_decode_failure,
+    &SampleReport::rejected_mid_row, &SampleReport::injected_faults,
+    &SampleReport::fallback_grammar_uses,
+    &SampleReport::snapped_cells,
+};
+
 }  // namespace
 
 const char* SamplePolicyToString(SamplePolicy policy) {
@@ -102,6 +113,23 @@ void SampleReport::ExportToMetrics() const {
   counters.fault_trips->Increment(injected_faults);
   counters.fallback_grammar_uses->Increment(fallback_grammar_uses);
   counters.snapped_cells->Increment(snapped_cells);
+}
+
+void AppendSampleReport(const SampleReport& report, ByteWriter* writer) {
+  for (size_t SampleReport::*field : kCodecFields) {
+    writer->PutU64(report.*field);
+  }
+}
+
+Status ReadSampleReport(ByteReader* reader, SampleReport* out) {
+  SampleReport report;
+  for (size_t SampleReport::*field : kCodecFields) {
+    uint64_t v = 0;
+    GREATER_RETURN_NOT_OK(reader->GetU64(&v));
+    report.*field = static_cast<size_t>(v);
+  }
+  *out = report;
+  return Status::OK();
 }
 
 std::string SampleReport::ToString() const {

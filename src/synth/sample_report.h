@@ -4,6 +4,9 @@
 #include <cstddef>
 #include <string>
 
+#include "common/artifact_io.h"
+#include "common/status.h"
+
 namespace greater {
 
 /// What a synthesizer does when a row exhausts its retry budget (or an
@@ -83,6 +86,11 @@ struct SampleReport {
   /// One-line human-readable summary.
   std::string ToString() const;
 };
+
+/// Binary codec for checkpointed reports: the ten counts as u64, in
+/// declaration order. ReadSampleReport leaves `out` untouched on error.
+void AppendSampleReport(const SampleReport& report, ByteWriter* writer);
+Status ReadSampleReport(ByteReader* reader, SampleReport* out);
 
 }  // namespace greater
 

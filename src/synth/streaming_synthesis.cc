@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/rng.h"
-#include "crosstable/checkpoint.h"
 #include "obs/span.h"
 
 namespace greater {
@@ -32,7 +32,7 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
   // determines it: synthesizer options, fit seed, and the input-content
   // chain from the schema pass. A rerun killed after fit loads the model
   // and goes straight to emission.
-  StageCheckpointer stage(options.checkpoint_dir);
+  CheckpointStore stage(CheckpointScope::kStage, options.checkpoint_dir);
   {
     ByteWriter fp;
     GreatSynthesizer::AppendOptionsTo(options.synthesizer, &fp);
@@ -41,20 +41,14 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
     stage.Mix(fp.bytes());
   }
 
+  // DeserializeBinary replaces the model only when the whole document
+  // decodes, so a failed restore leaves it ready to fit.
   GreatSynthesizer model(options.synthesizer);
-  bool loaded = false;
-  if (std::optional<ArtifactReader> doc = stage.TryLoad("oocore.model");
-      doc.has_value()) {
-    auto restore = [&]() -> Status {
-      GREATER_ASSIGN_OR_RETURN(std::string_view bytes, doc->Chunk("model"));
-      return model.DeserializeBinary(bytes);
-    };
-    if (restore().ok()) {
-      loaded = true;
-    } else {
-      model = GreatSynthesizer(options.synthesizer);
-    }
-  }
+  const bool loaded = stage.TryRestore(
+      "oocore.model", stage.chain(), [&](const ArtifactReader& doc) -> Status {
+        GREATER_ASSIGN_OR_RETURN(std::string_view bytes, doc.Chunk("model"));
+        return model.DeserializeBinary(bytes);
+      });
   if (!loaded) {
     Rng fit_rng(options.fit_seed);
     GREATER_RETURN_NOT_OK(
@@ -63,10 +57,9 @@ Result<StreamingSynthesisResult> RunFromCsvStreaming(
     // checkpointing is off.
     if (stage.enabled()) {
       GREATER_ASSIGN_OR_RETURN(std::string bytes, model.SerializeBinary());
-      ArtifactWriter doc(StageCheckpointer::kKind,
-                         StageCheckpointer::kVersion);
+      ArtifactWriter doc = stage.Document();
       doc.AddChunk("model", std::move(bytes));
-      stage.Store("oocore.model", doc);
+      stage.Store("oocore.model", stage.chain(), doc.Finish());
     }
   }
   result.model_from_checkpoint = loaded;

@@ -66,6 +66,7 @@ void AppendSchema(const Schema& schema, ByteWriter* w) {
 Status ReadSchema(ByteReader* r, Schema* out) {
   uint32_t num_fields = 0;
   GREATER_RETURN_NOT_OK(r->GetU32(&num_fields));
+  GREATER_RETURN_NOT_OK(r->CheckCount(num_fields, 4 + 1 + 1));
   std::vector<Field> fields;
   fields.reserve(num_fields);
   for (uint32_t i = 0; i < num_fields; ++i) {
@@ -106,8 +107,10 @@ Status ReadTable(ByteReader* r, Table* out) {
   GREATER_RETURN_NOT_OK_CTX(ReadSchema(r, &schema), "table schema");
   uint64_t num_rows = 0;
   GREATER_RETURN_NOT_OK(r->GetU64(&num_rows));
-  Table table(schema);
   const size_t num_columns = schema.num_fields();
+  // Every cell takes at least its one-byte type tag.
+  GREATER_RETURN_NOT_OK(r->CheckCount(num_rows, num_columns));
+  Table table(schema);
   for (uint64_t row = 0; row < num_rows; ++row) {
     Row cells(num_columns);
     for (size_t col = 0; col < num_columns; ++col) {

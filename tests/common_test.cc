@@ -352,6 +352,21 @@ TEST(RngTest, BernoulliProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+TEST(RngTest, SavedStateRoundTripsAndMalformedStateIsRefused) {
+  Rng rng(1234);
+  for (int i = 0; i < 17; ++i) rng.UniformInt(0, 1000000);
+  Rng restored(1);
+  ASSERT_TRUE(restored.LoadState(rng.SaveState()));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.UniformInt(0, 1000000), restored.UniformInt(0, 1000000));
+  }
+  // Malformed bytes are refused and leave the stream where it was.
+  Rng other(2);
+  Rng untouched(2);
+  EXPECT_FALSE(other.LoadState(std::string("\x03zzz", 4)));
+  EXPECT_EQ(other.UniformInt(0, 1000000), untouched.UniformInt(0, 1000000));
+}
+
 // ---------- strings ----------
 
 TEST(StringsTest, SplitKeepsEmptyFields) {

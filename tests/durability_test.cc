@@ -10,13 +10,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/artifact_io.h"
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "crosstable/pipeline.h"
@@ -24,8 +27,11 @@
 #include "lm/ngram_lm.h"
 #include "obs/metrics.h"
 #include "semantic/mapping.h"
+#include "stream/csv_ingest.h"
+#include "stream/sample_emit.h"
 #include "synth/great_synthesizer.h"
 #include "synth/relational_synthesizer.h"
+#include "synth/streaming_synthesis.h"
 #include "tabular/csv.h"
 #include "text/vocabulary.h"
 
@@ -832,6 +838,221 @@ TEST_F(PipelineResumeTest, DerecPathResumesTooAndStaysIdentical) {
   PipelineResult warm = RunOnce(options, 7);
   EXPECT_TRUE(cold.synthetic_flat == warm.synthetic_flat);
   EXPECT_TRUE(cold.synthetic_parent == warm.synthetic_parent);
+}
+
+// ---------- undecodable checkpoint documents ----------
+//
+// A checkpoint whose container is valid (right kind and version, every
+// CRC good) but whose payload its grain cannot decode is corrupt like any
+// other: the grain recomputes, the output matches a cold run, the scope's
+// corrupt counter moves by one, the grain is not counted as a hit, every
+// probe counts once as a hit or a miss, nothing throws, and no allocation
+// is sized by the hostile payload.
+
+// Hostile rewrites of a stored document, by mutation name: a missing
+// chunk, truncated payloads, spliced payloads, random bytes, and — one
+// rewrite per chunk, so every decoder meets it — the leading count,
+// length or magic of a payload inflated toward 2^64. `opaque` names the
+// chunk, if any, that leads with a plain value (free text, a row tally)
+// instead; any value decodes there, so it gets no inflated rewrite.
+std::vector<std::pair<std::string, std::string>> HostileRewrites(
+    const std::string& stored, std::string_view opaque) {
+  ArtifactReader doc =
+      ArtifactReader::Parse(stored, "", CheckpointStore::kVersion)
+          .ValueOrDie();
+  const std::vector<std::string>& names = doc.chunk_names();
+  std::vector<std::string> payloads;
+  for (const std::string& name : names) {
+    payloads.emplace_back(doc.Chunk(name).ValueOrDie());
+  }
+  auto rebuild = [&](const std::vector<std::string>& chunks, size_t first) {
+    ArtifactWriter writer(doc.kind(), doc.version());
+    for (size_t i = first; i < chunks.size(); ++i) {
+      writer.AddChunk(names[i], chunks[i]);
+    }
+    return writer.Finish();
+  };
+  std::vector<std::string> truncated, spliced = payloads, noise;
+  Rng rng(99);
+  for (const std::string& payload : payloads) {
+    truncated.push_back(payload.substr(0, payload.size() / 2));
+    std::string random(payload.size(), '\0');
+    for (char& c : random) c = static_cast<char>(rng.UniformInt(0, 255));
+    noise.push_back(std::move(random));
+  }
+  if (spliced.size() > 1) {
+    std::swap(spliced.front(), spliced.back());
+  } else {
+    const std::string& only = payloads.front();
+    spliced.front() = only.substr(only.size() / 2) +
+                      only.substr(0, only.size() / 2);
+  }
+  std::vector<std::pair<std::string, std::string>> rewrites = {
+      {"missing chunk", rebuild(payloads, 1)},
+      {"truncated payload", rebuild(truncated, 0)},
+      {"spliced payload", rebuild(spliced, 0)},
+      {"random bytes", rebuild(noise, 0)}};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    if (names[i] == opaque) continue;
+    std::vector<std::string> inflated = payloads;
+    for (size_t b = 0; b < std::min<size_t>(8, inflated[i].size()); ++b) {
+      inflated[i][b] = static_cast<char>(0xff);
+    }
+    rewrites.emplace_back("inflated length in '" + names[i] + "'",
+                          rebuild(inflated, 0));
+  }
+  return rewrites;
+}
+
+// The one file in `dir` whose name starts with `prefix`.
+fs::path GrainFile(const fs::path& dir, const std::string& prefix) {
+  std::vector<fs::path> found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      found.push_back(entry.path());
+    }
+  }
+  EXPECT_EQ(found.size(), 1u) << prefix << " in " << dir;
+  return found.empty() ? fs::path() : found.front();
+}
+
+// Replaces `file` with each hostile rewrite of its document in turn and
+// reruns. `rerun` returns the run's output bytes; `probes` is how many
+// grains of the store scope behind `counter_prefix` it looks up.
+void ExpectEachRewriteRecomputes(
+    const fs::path& file, std::string_view opaque,
+    const std::string& counter_prefix, uint64_t probes,
+    const std::string& cold,
+    const std::function<Result<std::string>()>& rerun) {
+  ASSERT_FALSE(file.empty());
+  const std::string stored = Slurp(file);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter& hits = metrics.GetCounter(counter_prefix + "hits");
+  Counter& misses = metrics.GetCounter(counter_prefix + "misses");
+  Counter& corrupt = metrics.GetCounter(counter_prefix + "corrupt");
+  for (const auto& [mutation, bytes] : HostileRewrites(stored, opaque)) {
+    SCOPED_TRACE(file.filename().string() + ": " + mutation);
+    Spit(file, bytes);
+    const uint64_t hits_before = hits.Value();
+    const uint64_t misses_before = misses.Value();
+    const uint64_t corrupt_before = corrupt.Value();
+    g_largest_allocation.store(0, std::memory_order_relaxed);
+    Result<std::string> output = Status::Internal("rerun threw");
+    EXPECT_NO_THROW(output = rerun());
+    const size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_EQ(*output, cold);
+    EXPECT_EQ(corrupt.Value() - corrupt_before, 1u);
+    EXPECT_EQ(hits.Value() - hits_before, probes - 1)
+        << "the hostile grain must not count as a hit";
+    EXPECT_EQ(hits.Value() - hits_before + misses.Value() - misses_before,
+              probes);
+    EXPECT_LT(largest, size_t{1} << 24);
+    EXPECT_EQ(Slurp(file), stored) << "the recompute stores the grain again";
+  }
+}
+
+class UndecodableCheckpointTest : public PipelineResumeTest {};
+
+TEST_F(UndecodableCheckpointTest, PipelineStagesRecompute) {
+  for (FusionMethod fusion : {FusionMethod::kGreaterMedianThreshold,
+                              FusionMethod::kDerecIndependent}) {
+    SCOPED_TRACE(FusionMethodToString(fusion));
+    fs::path dir = ScratchDir(std::string("undecodable_") +
+                              FusionMethodToString(fusion));
+    PipelineOptions options = FastOptions(dir);
+    options.fusion = fusion;
+    auto run = [&]() -> Result<std::string> {
+      Rng rng(7);
+      GREATER_ASSIGN_OR_RETURN(
+          PipelineResult result,
+          MultiTablePipeline(options).Run(data_->ads, data_->feeds,
+                                          "user_id", &rng));
+      return WriteCsvString(result.synthetic_parent) +
+             WriteCsvString(result.synthetic_flat);
+    };
+    const std::string cold = run().ValueOrDie();
+    const std::vector<std::string> stages =
+        fusion == FusionMethod::kDerecIndependent
+            ? std::vector<std::string>{"prepare", "fit", "sample"}
+            : std::vector<std::string>{"prepare", "fuse", "fit", "sample"};
+    for (const std::string& stage : stages) {
+      ExpectEachRewriteRecomputes(GrainFile(dir, "stage." + stage + "."),
+                                  "stats", "ckpt.stage_", stages.size(),
+                                  cold, run);
+    }
+  }
+}
+
+TEST_F(UndecodableCheckpointTest, IngestChunkRecomputes) {
+  fs::path dir = ScratchDir("undecodable_ingest");
+  // Four chunks of three records; the second holds a short record, so
+  // its document carries a quarantine entry as well as rows.
+  const std::string text =
+      "a,b,c\n0,0,x\n1,2,y\n2,4,x\n3,6,y\n4\n5,10,x\n6,12,y\n7,14,x\n"
+      "8,16,y\n9,18,x\n10,20,y\n11,22,x\n";
+  StreamOptions stream;
+  stream.chunk_rows = 3;
+  stream.num_workers = 2;
+  auto run = [&]() -> Result<std::string> {
+    CheckpointStore store(CheckpointScope::kChunk, dir.string(), "unit");
+    StreamIngestReport report;
+    GREATER_ASSIGN_OR_RETURN(
+        Table table,
+        ReadCsvStringStreaming(text, CsvReadOptions(), stream,
+                               StreamPolicy::kLenient, &report, &store));
+    if (report.quarantined != 1 || !report.Reconciles()) {
+      return Status::Internal("ingest report does not reconcile");
+    }
+    return WriteCsvString(table);
+  };
+  const std::string cold = run().ValueOrDie();
+  ExpectEachRewriteRecomputes(GrainFile(dir, "chunk.unit.1."), "",
+                              "stream.chunk_", 4, cold, run);
+}
+
+TEST_F(UndecodableCheckpointTest, EmitChunkRecomputes) {
+  GreatSynthesizer model{GreatSynthesizer::Options()};
+  Rng fit_rng(17);
+  ASSERT_TRUE(model.Fit(SmallTable(), &fit_rng).ok());
+  fs::path dir = ScratchDir("undecodable_emit");
+  const fs::path out = dir / "out.csv";
+  SampleEmitOptions emit;
+  emit.chunk_rows = 8;
+  emit.checkpoint_dir = (dir / "ckpt").string();
+  auto run = [&]() -> Result<std::string> {
+    GREATER_ASSIGN_OR_RETURN(
+        SampleReport report,
+        SampleRowsToCsvStreaming(model, 30, 7, out.string(), emit));
+    if (!report.Reconciles()) return Status::Internal("report mismatch");
+    return Slurp(out);
+  };
+  const std::string cold = run().ValueOrDie();
+  ExpectEachRewriteRecomputes(GrainFile(dir / "ckpt", "chunk.oocore.emit.1."),
+                              "csv", "stream.chunk_", 4, cold, run);
+}
+
+TEST_F(UndecodableCheckpointTest, OutOfCoreModelRecomputes) {
+  fs::path dir = ScratchDir("undecodable_model");
+  const fs::path input = dir / "input.csv";
+  const fs::path out = dir / "out.csv";
+  ASSERT_TRUE(WriteCsvFile(SmallTable(), input.string()).ok());
+  StreamingSynthesisOptions options;
+  options.stream.chunk_rows = 16;
+  options.emit_chunk_rows = 10;
+  options.checkpoint_dir = (dir / "ckpt").string();
+  auto run = [&]() -> Result<std::string> {
+    GREATER_ASSIGN_OR_RETURN(
+        StreamingSynthesisResult result,
+        RunFromCsvStreaming(input.string(), out.string(), 25, options));
+    if (result.model_from_checkpoint) {
+      return Status::Internal("hostile model document was loaded");
+    }
+    return Slurp(out);
+  };
+  const std::string cold = run().ValueOrDie();
+  ExpectEachRewriteRecomputes(GrainFile(dir / "ckpt", "stage.oocore.model."),
+                              "", "ckpt.stage_", 1, cold, run);
 }
 
 }  // namespace

@@ -945,13 +945,17 @@ TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
   TenantSet set = MakeTenants(1);
   ServeOptions options;
   options.num_workers = 1;
-  options.max_open_requests = 4;
-  options.max_lanes_per_batch = 4;
+  // A one-request packing window, held by interactive pins far too long to
+  // finish on their own: admission order, not the scheduling of this
+  // thread, decides what runs.
+  options.max_open_requests = 1;
+  options.max_lanes_per_batch = 8;
   SynthesisServer server(options);
   AddAll(&server, set);
   ASSERT_TRUE(server.Start().ok());
 
-  auto pin = server.Submit(RowsRequest(set.names[0], 100, 3));
+  constexpr size_t kPinRows = 10000000;
+  auto pin = server.Submit(RowsRequest(set.names[0], kPinRows, 3));
   std::vector<std::shared_ptr<RequestTicket>> backlog;
   for (uint64_t i = 0; i < 10; ++i) {
     SampleRequest low;
@@ -967,19 +971,25 @@ TEST(SynthesisServerTest, InteractiveOvertakesQueuedBackground) {
   high.seed = 901;
   high.priority = RequestPriority::kInteractive;
   auto urgent = server.Submit(high);
+  // Queued behind `urgent` in its class, so it takes the window next and
+  // holds the background backlog out until it is cancelled.
+  auto gate = server.Submit(RowsRequest(set.names[0], kPinRows, 4));
+  pin->Cancel();
   ASSERT_TRUE(urgent->Wait().ok()) << urgent->Wait().status();
 
-  // The interactive request finished while most of the backlog was still
-  // in flight — it did not wait for 200 queued background rows.
+  // The interactive request finished while the backlog was still queued —
+  // it did not wait for 200 queued background rows.
   size_t backlog_pending = 0;
   for (auto& ticket : backlog) {
     if (!ticket->done()) ++backlog_pending;
   }
-  EXPECT_GE(backlog_pending, 1u);
+  EXPECT_EQ(backlog_pending, backlog.size());
+  gate->Cancel();
   for (auto& ticket : backlog) {
     ASSERT_TRUE(ticket->Wait().ok()) << ticket->Wait().status();
   }
-  ASSERT_TRUE(pin->Wait().ok()) << pin->Wait().status();
+  EXPECT_EQ(pin->Wait().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(gate->Wait().status().code(), StatusCode::kCancelled);
   ASSERT_TRUE(server.Shutdown().ok());
 }
 

@@ -23,12 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint_store.h"
 #include "common/fault.h"
 #include "crosstable/pipeline.h"
 #include "datagen/digix.h"
 #include "obs/metrics.h"
 #include "stream/bounded_queue.h"
-#include "stream/chunk_checkpoint.h"
 #include "stream/csv_ingest.h"
 #include "stream/quarantine.h"
 #include "stream/stream_runtime.h"
@@ -357,14 +357,14 @@ TEST_F(StreamingTest, ChunkResumeAfterMidRunFaultIsByteIdentical) {
       spec.message = "injected parse crash";
       spec.skip_hits = fail_at;
       ScopedFault fault("stream.chunk_parse", spec);
-      ChunkCheckpointer ckpt(ckdir.string(), "unit");
+      CheckpointStore ckpt(CheckpointScope::kChunk, ckdir.string(), "unit");
       auto crashed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                             StreamPolicy::kStrict, nullptr,
                                             &ckpt);
       ASSERT_FALSE(crashed.ok());
       EXPECT_EQ(crashed.status().code(), StatusCode::kFailedPrecondition);
     }
-    ChunkCheckpointer ckpt(ckdir.string(), "unit");
+    CheckpointStore ckpt(CheckpointScope::kChunk, ckdir.string(), "unit");
     StreamIngestReport report;
     auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                           StreamPolicy::kStrict, &report,
@@ -386,7 +386,7 @@ TEST_F(StreamingTest, CorruptChunkCheckpointDegradesToRecompute) {
                                           StreamPolicy::kStrict);
   ASSERT_TRUE(reference.ok());
   {
-    ChunkCheckpointer ckpt(dir.string(), "unit");
+    CheckpointStore ckpt(CheckpointScope::kChunk, dir.string(), "unit");
     ASSERT_TRUE(ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                        StreamPolicy::kStrict, nullptr, &ckpt)
                     .ok());
@@ -398,7 +398,7 @@ TEST_F(StreamingTest, CorruptChunkCheckpointDegradesToRecompute) {
     ++corrupted;
   }
   ASSERT_GE(corrupted, 4u);
-  ChunkCheckpointer ckpt(dir.string(), "unit");
+  CheckpointStore ckpt(CheckpointScope::kChunk, dir.string(), "unit");
   StreamIngestReport report;
   auto resumed = ReadCsvStringStreaming(text, CsvReadOptions(), opt,
                                         StreamPolicy::kStrict, &report,
@@ -418,7 +418,7 @@ TEST_F(StreamingTest, ChunkStoreFailuresAreSwallowedAndCounted) {
   spec.code = StatusCode::kResourceExhausted;
   spec.message = "disk full";
   ScopedFault fault("ckpt.write", spec);
-  ChunkCheckpointer ckpt(dir.string(), "unit");
+  CheckpointStore ckpt(CheckpointScope::kChunk, dir.string(), "unit");
   auto streamed = ReadCsvStringStreaming(NumericCsv(9), CsvReadOptions(),
                                          SmallStream(),
                                          StreamPolicy::kStrict, nullptr,
@@ -429,23 +429,6 @@ TEST_F(StreamingTest, ChunkStoreFailuresAreSwallowedAndCounted) {
                 .GetCounter("stream.chunk_store_failures")
                 .Value(),
             1u);
-}
-
-TEST_F(StreamingTest, RngStateRoundTripsThroughChunkPayload) {
-  Rng rng(1234);
-  for (int i = 0; i < 17; ++i) rng.UniformInt(0, 1000000);
-  ByteWriter writer;
-  AppendRngState(rng, &writer);
-  Rng restored(1);
-  ByteReader reader(writer.bytes());
-  ASSERT_TRUE(ReadRngState(&reader, &restored).ok());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(rng.UniformInt(0, 1000000), restored.UniformInt(0, 1000000));
-  }
-  // Malformed bytes fail typed instead of silently desyncing the stream.
-  Rng other(2);
-  ByteReader bad(std::string_view("\x03zzz", 4));
-  EXPECT_EQ(ReadRngState(&bad, &other).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
@@ -472,7 +455,7 @@ TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      ChunkCheckpointer ckpt(ckdir.string(), "kill");
+      CheckpointStore ckpt(CheckpointScope::kChunk, ckdir.string(), "kill");
       auto result = ReadCsvFileStreaming(csv.string(), CsvReadOptions(), opt,
                                          StreamPolicy::kStrict, nullptr,
                                          &ckpt);
@@ -484,7 +467,7 @@ TEST_F(StreamingTest, SigkillAnywhereThenResumeIsByteIdentical) {
     ::waitpid(pid, &wait_status, 0);
   }
 
-  ChunkCheckpointer ckpt(ckdir.string(), "kill");
+  CheckpointStore ckpt(CheckpointScope::kChunk, ckdir.string(), "kill");
   StreamIngestReport report;
   auto resumed = ReadCsvFileStreaming(csv.string(), CsvReadOptions(), opt,
                                       StreamPolicy::kStrict, &report, &ckpt);
